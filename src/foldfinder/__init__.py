@@ -1,9 +1,8 @@
 """Fold-point finder for sublinear-plus-superlinear Dirichlet systems."""
 
 from .errors import (ConeError, ConvergenceError, FiberEmptyError,
-                     FoldFinderError, GridMismatchError,
-                     IndefiniteOperatorError, NoFoldError, SigmaError,
-                     SingularBorderError)
+                     FoldFinderError, GridMismatchError, NoFoldError,
+                     SigmaError, SingularBorderError)
 from .mesh import (Grid, apply_laplacian, build_grid, inner_product,
                    interval_eigenvalue, norm, principal_laplacian_eigenvalue)
 from .linalg import (LinearOperator, smallest_eigenpair, solve_bordered,

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,7 +282,7 @@ def cmd_fold(cfg: RunConfig) -> int:
         raise UsageError(f"unknown fold method '{method}'")
     # nonexistence of a fold (g with no superlinear part) is reported before
     # hypothesis validation so it surfaces as a non-convergence signal
-    if not math.isfinite(upper_bound_lambda(spec, grid)):
+    if not spec.degrees:
         print("model has no superlinear part: no fold exists")
         return EXIT_NO_CONVERGENCE
     bad = _validated(grid, spec)
@@ -337,8 +334,7 @@ def cmd_continue(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bench_one(task):
-    method, n, spec = task
+def _bench_one(method: str, n: int, spec: ModelSpec):
     grid = build_grid("interval", n)
     solve_counter.reset()
     t0 = time.perf_counter()
@@ -368,15 +364,9 @@ def cmd_bench(cfg: RunConfig) -> int:
     bad = _validated(build_grid("interval", sizes[0]), spec)
     if bad is not None:
         return bad
-    tasks = [(method, n, spec) for method in methods for n in sizes]
-    workers = max(1, int(os.environ.get("FOLDFINDER_THREADS", "1")))
     try:
-        if workers == 1:
-            results = [_bench_one(t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=min(workers,
-                                                    len(tasks))) as pool:
-                results = list(pool.map(_bench_one, tasks))
+        results = [_bench_one(method, n, spec)
+                   for method in methods for n in sizes]
     except (ConvergenceError, NoFoldError) as exc:
         print(f"benchmark run failed: {exc}")
         return EXIT_NO_CONVERGENCE

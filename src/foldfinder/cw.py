@@ -179,9 +179,9 @@ def upper_bound_lambda(spec: ModelSpec, grid: Grid,
     per-ray maximum is exact and the multi-component bound samples rays on
     the simplex.  Returns +inf when g vanishes identically (no fold exists).
     """
-    lam1 = principal_laplacian_eigenvalue(grid, mask)
-    if not any(c > 0 for c, _ in spec.terms):
+    if not spec.degrees:
         return math.inf
+    lam1 = principal_laplacian_eigenvalue(grid, mask)
 
     def ray_max(e: np.ndarray) -> float:
         se = float(e.sum())

@@ -48,10 +48,6 @@ class ConvergenceError(FoldFinderError, RuntimeError):
         self.best = best
 
 
-class IndefiniteOperatorError(FoldFinderError, RuntimeError):
-    """Negative curvature encountered where an SPD operator was required."""
-
-
 class SingularBorderError(FoldFinderError, RuntimeError):
     """The bordered matrix itself is (numerically) singular."""
 

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConeError, ConvergenceError, FiberEmptyError, NoFoldError
+from .errors import (ConeError, ConvergenceError, FiberEmptyError, NoFoldError,
+                     SingularBorderError)
 from .energy import (State, hessian_local_apply, hessian_operator, make_state,
                      phi, phi_grad)
 from .linalg import solve_bordered, solve_counter, smallest_eigenpair
@@ -351,7 +352,7 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
         try:
             dx, dlam_step = solve_bordered(
                 hess, p, w * tu.ravel(), tlam, -f1.ravel(), -con)
-        except Exception:
+        except SingularBorderError:
             return False, None
         u = u + dx.reshape(u.shape)
         lam = lam + dlam_step

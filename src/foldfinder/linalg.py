@@ -1,9 +1,14 @@
-"""Linear solvers and principal-eigenpair computation over grid operators."""
+"""Sparse linear algebra over matrix-backed grid operators.
+
+Every operator carries its sparse matrix, so each solve goes through one
+SuperLU factorization: ``solve_spd`` factors A, ``solve_bordered`` factors
+the assembled bordered matrix, and ``smallest_eigenpair`` factors H - sigma I
+once and hands it to ARPACK as the shift-invert operator.
+"""
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -11,29 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, IndefiniteOperatorError, SingularBorderError
+from .errors import ConvergenceError, SingularBorderError
 
 
 class _SolveCounter:
-    """Counts inner linear solves; read by the benchmark command.
+    """Counts triangular solves; read by the benchmark command."""
 
-    The count is thread-local so concurrent benchmark workers tally their
-    own solves without interfering.
-    """
-
-    def __init__(self):
-        self._local = threading.local()
-
-    @property
-    def value(self) -> int:
-        return getattr(self._local, "value", 0)
-
-    @value.setter
-    def value(self, n: int) -> None:
-        self._local.value = n
+    value = 0
 
     def reset(self):
-        self._local.value = 0
+        self.value = 0
 
 
 solve_counter = _SolveCounter()
@@ -41,71 +33,37 @@ solve_counter = _SolveCounter()
 
 @dataclass
 class LinearOperator:
-    """Symmetric operator on flat vectors, optionally with an explicit matrix.
+    """Symmetric sparse operator on flat vectors.
 
     ``weight`` is the quadrature weight of the underlying grid so residual
     norms agree with the grid norms.
     """
 
-    dim: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = True
-    matrix: sp.spmatrix | None = field(default=None, repr=False)
+    matrix: sp.csr_matrix = field(repr=False)
     weight: float = 1.0
 
     @classmethod
-    def from_matrix(cls, matrix, weight: float = 1.0, symmetric: bool = True):
-        matrix = sp.csr_matrix(matrix)
-        return cls(dim=matrix.shape[0], matvec=lambda x: matrix @ x,
-                   symmetric=symmetric, matrix=matrix, weight=weight)
+    def from_matrix(cls, matrix, weight: float = 1.0):
+        return cls(matrix=sp.csr_matrix(matrix), weight=weight)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
+        return self.matrix @ x
 
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(self.weight) * float(np.linalg.norm(x))
 
     def scale(self) -> float:
-        """Crude operator magnitude used to scale shifts and tolerances."""
-        if self.matrix is not None:
-            return float(abs(self.matrix).sum(axis=1).max())
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(self.dim)
-        x /= np.linalg.norm(x)
-        return float(np.linalg.norm(self(x))) + 1e-300
+        """Largest absolute row sum, used to scale shifts and tolerances."""
+        return float(abs(self.matrix).sum(axis=1).max())
 
 
-def _cg(op: LinearOperator, b: np.ndarray, tol: float, max_iters: int):
-    """Plain conjugate gradients with negative-curvature detection."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    b_norm = math.sqrt(float(b @ b)) or 1.0
-    for _ in range(max_iters):
-        if math.sqrt(rr) <= tol * b_norm:
-            return x
-        ap = op(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise IndefiniteOperatorError(
-                f"negative curvature encountered (p'Ap = {pap:.3e})"
-            )
-        alpha = rr / pap
-        x += alpha * p
-        r -= alpha * ap
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise ConvergenceError(
-        "CG did not converge", residual=math.sqrt(rr) / b_norm,
-        iterations=max_iters, best=x,
-    )
-
-
-def factorized(op: LinearOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Direct triangular solve for an operator carrying its sparse matrix."""
-    lu = spla.splu(sp.csc_matrix(op.matrix))
+def _factorized(matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """SuperLU factor of ``matrix`` as a solve function that counts its calls."""
+    lu = spla.splu(sp.csc_matrix(matrix))
 
     def solve(b: np.ndarray) -> np.ndarray:
         solve_counter.value += 1
@@ -117,19 +75,14 @@ def factorized(op: LinearOperator) -> Callable[[np.ndarray], np.ndarray]:
 def solve_spd(op: LinearOperator, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
-    Uses a direct factorization whenever the sparse matrix is available and
-    conjugate gradients otherwise.  The relative residual is verified.
+    One direct factorization; the relative residual is verified.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != op.dim:
         raise ValueError(f"rhs has length {b.shape[0]}, operator dim {op.dim}")
-    if op.matrix is not None:
-        x = factorized(op)(b)
-    else:
-        x = _cg(op, b, tol, max_iters=10 * op.dim)
-        solve_counter.value += 1
+    x = _factorized(op.matrix)(b)
     b_norm = np.linalg.norm(b) or 1.0
     rel = np.linalg.norm(op(x) - b) / b_norm
     if rel > max(tol, 1e3 * np.finfo(float).eps) * 10:
@@ -142,9 +95,11 @@ def solve_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
                    tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Solve the bordered system [[A, c], [b', d]] (x, y) = (f, g).
 
-    Block elimination through A with iterative refinement, so the bordered
-    system is solved accurately even when A itself is singular at a fold
-    (the elimination then runs on a deflation-shifted copy of A).
+    The bordered matrix is assembled and factored once.  It stays regular
+    at a simple fold, where A itself is singular, so no elimination runs
+    through A (Govaerts 2000).  Raises ``SingularBorderError`` when the
+    factorization meets an exactly zero pivot or the backward error of the
+    solution exceeds ``tol``.
     """
     c = np.asarray(c, dtype=float).ravel()
     b_row = np.asarray(b_row, dtype=float).ravel()
@@ -153,156 +108,61 @@ def solve_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
     if not (c.shape[0] == b_row.shape[0] == rhs_f.shape[0] == n):
         raise ValueError("border/rhs length mismatch")
 
-    scale = op.scale()
-    # deflation shifts must stay meaningful even when the pivot block is
-    # identically zero, so the border contributes to the shift scale
-    shift_base = max(scale, np.abs(c).max(initial=0.0),
-                     np.abs(b_row).max(initial=0.0), abs(d), 1e-300)
-    shift = 0.0
-    ref = best = None
+    full = sp.bmat([[op.matrix, sp.csr_matrix(c.reshape(-1, 1))],
+                    [sp.csr_matrix(b_row), sp.csr_matrix([[d]])]])
+    rhs = np.append(rhs_f, rhs_g)
+    try:
+        sol = _factorized(full)(rhs)
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise SingularBorderError(f"bordered system is singular: {exc}") from exc
+    x, y = sol[:n], float(sol[n])
 
-    def make_solver(shift: float):
-        if op.matrix is not None:
-            mat = op.matrix if shift == 0.0 else op.matrix + shift * sp.eye(n)
-            lu = spla.splu(sp.csc_matrix(mat))
-
-            def solve(v):
-                solve_counter.value += 1
-                return lu.solve(v)
-
-            return solve
-
-        def solve(v):
-            shifted = LinearOperator(
-                dim=n, matvec=(lambda x: op(x) + shift * x) if shift else op.matvec,
-                symmetric=op.symmetric, weight=op.weight)
-            return solve_spd(shifted, v, tol=min(tol, 1e-12))
-
-        return solve
-
-    def eliminate(solve, f, g):
-        z1 = solve(f)
-        z2 = solve(c)
-        denom = d - float(b_row @ z2)
-        if abs(denom) < 1e-300:
-            raise SingularBorderError("bordered Schur complement vanished")
-        y = (g - float(b_row @ z1)) / denom
-        return z1 - y * z2, y
-
-    for attempt in range(3):
-        try:
-            solve = make_solver(shift)
-            x, y = eliminate(solve, rhs_f, rhs_g)
-        except (RuntimeError, IndefiniteOperatorError):
-            # singular or indefinite pivot block: deflation shift and retry
-            shift = 1e-8 * shift_base if shift == 0.0 else shift * 1e4
-            continue
-
-        # iterative refinement on the full bordered system
-        ref = (np.linalg.norm(rhs_f) + abs(rhs_g)
-               + (np.linalg.norm(c) + np.linalg.norm(b_row) + abs(d) + scale)
-               * (np.linalg.norm(x) + abs(y)))
-        for _ in range(25):
-            res_f = rhs_f - (op(x) + y * c)
-            res_g = rhs_g - (float(b_row @ x) + d * y)
-            err = np.linalg.norm(res_f) + abs(res_g)
-            if best is None or err < best:
-                best = err
-            if err <= tol * max(ref, 1e-300):
-                return x, y
-            try:
-                dx, dy = eliminate(solve, res_f, res_g)
-            except (RuntimeError, IndefiniteOperatorError):
-                break
-            if np.linalg.norm(dx) + abs(dy) > 1e12 * (np.linalg.norm(x) + abs(y) + 1):
-                break  # refinement diverging: shift is too small
-            x = x + dx
-            y = y + dy
-        shift = 1e-8 * shift_base if shift == 0.0 else shift * 1e4
-
-    raise SingularBorderError(
-        "bordered system is numerically singular",
-        condition_estimate=(ref / best) if (ref and best) else float("inf"),
-    )
+    res = np.linalg.norm(full @ sol - rhs)
+    ref = (np.linalg.norm(rhs)
+           + (np.linalg.norm(c) + np.linalg.norm(b_row) + abs(d) + op.scale())
+           * np.linalg.norm(sol))
+    if not res <= tol * ref:
+        raise SingularBorderError("bordered system is numerically singular",
+                                  condition_estimate=ref / res)
+    return x, y
 
 
 def smallest_eigenpair(op: LinearOperator, tol: float) -> tuple[float, np.ndarray]:
     """Principal (smallest) eigenpair of a symmetric operator.
 
-    Shifted inverse iteration with an adaptive shift kept strictly below the
-    current Rayleigh estimate.  Returns (delta, phi) with phi normalized to
-    quadrature norm one and the largest-magnitude entry positive.
+    Shift-invert Lanczos (ARPACK; Lehoucq, Sorensen and Yang 1998): H - sigma I
+    is factored once, with sigma below the Gershgorin lower bound of the
+    spectrum, so the smallest eigenvalue of H is the largest of the inverse.
+    The start vector is fixed, so reruns are identical.  Raises
+    ``ConvergenceError`` unless ||H x - delta x|| <= tol.  Returns
+    (delta, phi) with phi normalized to quadrature norm one and its
+    largest-magnitude entry positive.
     """
-    if not op.symmetric:
-        raise ValueError("smallest_eigenpair requires a symmetric operator")
     n = op.dim
-    scale = op.scale()
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-
-    if op.matrix is not None:
-        mat = sp.csr_matrix(op.matrix)
+    mat = op.matrix
+    if n == 1:
+        x = np.ones(1)
+        delta = float(mat[0, 0])
+    else:
         diag = mat.diagonal()
         row_abs = np.ravel(abs(mat).sum(axis=1))
         lower = float((diag - (row_abs - np.abs(diag))).min())
-    else:
-        # power iteration bound on the spectral radius
-        y = x.copy()
-        rho = scale
-        for _ in range(50):
-            y = op(y)
-            rho = np.linalg.norm(y)
-            if rho == 0.0:
-                return 0.0, x / op.norm(x)
-            y /= rho
-        lower = -1.01 * rho
-
-    sigma = lower - 1e-2 * max(scale, 1.0)
-    solve = None
-    delta = float(x @ op(x))
-    for it in range(200):
-        if solve is None:
-            shifted = sigma
-            if op.matrix is not None:
-                try:
-                    lu = spla.splu(sp.csc_matrix(mat - shifted * sp.eye(n)))
-                except RuntimeError:
-                    shifted -= 1e-10 * max(scale, 1.0)
-                    lu = spla.splu(sp.csc_matrix(mat - shifted * sp.eye(n)))
-                solve = lu.solve
-            else:
-                shifted_op = LinearOperator(
-                    dim=n, matvec=lambda v, s=shifted: op(v) - s * v,
-                    symmetric=True, weight=op.weight)
-                solve = lambda b: _cg(shifted_op, b, 1e-14, 10 * n)  # noqa: E731
+        sigma = lower - 1e-2 * max(op.scale(), 1.0)
+        solve = _factorized(mat - sigma * sp.eye(n))
+        shift_invert = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+        v0 = np.random.default_rng(12345).standard_normal(n)
         try:
-            y = solve(x)
-        except IndefiniteOperatorError:
-            sigma -= max(abs(sigma), scale) * 0.5
-            solve = None
-            continue
-        solve_counter.value += 1
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            sigma -= 1e-8 * max(scale, 1.0)
-            solve = None
-            continue
-        x = y / ny
-        ax = op(x)
-        delta = float(x @ ax)
-        resid = float(np.linalg.norm(ax - delta * x))
-        if resid <= tol:
-            break
-        target = delta - max(5.0 * resid, 1e-12 * max(scale, 1.0))
-        if target > sigma + 0.05 * max(delta - sigma, 1e-300):
-            sigma = target
-            solve = None
-    else:
-        raise ConvergenceError(
-            "inverse iteration hit its cap", residual=resid, iterations=200,
-            best=(delta, x),
-        )
+            _, vecs = spla.eigsh(mat, k=1, sigma=sigma, which="LM", v0=v0,
+                                 OPinv=shift_invert)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError("shift-invert Lanczos did not converge",
+                                   best=(exc.eigenvalues, exc.eigenvectors))
+        x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        delta = float(x @ (mat @ x))
+    resid = float(np.linalg.norm(mat @ x - delta * x))
+    if resid > tol:
+        raise ConvergenceError("eigenpair residual above tolerance",
+                               residual=resid, best=(delta, x))
 
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:

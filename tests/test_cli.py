@@ -1,12 +1,12 @@
 """Command-line interface: exit codes, CSV contracts, determinism."""
 
 import csv
-import os
 
 import numpy as np
 import pytest
 
-from foldfinder import build_grid, make_model, phi, stability_index
+from foldfinder import (build_grid, make_model, phi, stability_index,
+                        stability_tolerance)
 from foldfinder.cli import (EXIT_INVALID_MODEL, EXIT_NO_CONVERGENCE, EXIT_OK,
                             EXIT_USAGE, main, read_solution_csv)
 
@@ -55,6 +55,26 @@ def test_fold_one_node_closed_form(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(np.sqrt(1.6), abs=1e-9)
 
 
+def test_fold_coupled_continuation_interval_127(capsys):
+    code = run(["fold", "--method", "continuation", "--model", "coupled",
+                "--q", "1.5", "--grid", "interval:127"])
+    assert code == EXIT_OK, capsys.readouterr()
+
+
+def test_fold_coupled_direct_prints_principal_delta(tmp_path, capsys):
+    # the second eigenvalue of the fold's Hessian lies only ~6.6 above the
+    # first; an eigen-solver that settles on it prints delta ~ 6.6
+    out = tmp_path / "fold.csv"
+    code = run(["fold", "--method", "direct", "--model", "coupled",
+                "--q", "1.33", "--grid", "interval:127", "-o", str(out)])
+    assert code == EXIT_OK
+    delta = float(capsys.readouterr().out.split("delta=")[1].split()[0])
+    grid = build_grid("interval", 127)
+    spec = make_model("coupled", q=1.33)
+    state = read_solution_csv(str(out), grid, spec)
+    assert abs(delta) <= stability_tolerance(state)
+
+
 def test_fold_zero_model_exit_two(capsys):
     code = run(["fold", "--model", "zero", "--q", "1.5",
                 "--grid", "interval:15"])
@@ -101,20 +121,6 @@ def test_bench_matrix(tmp_path):
                        "linear_solves"]
     assert [r[:2] for r in rows[1:]] == [["direct", "7"], ["direct", "15"]]
     assert all(int(r[4]) > 0 for r in rows[1:])
-
-
-def test_bench_threaded_same_rows(tmp_path):
-    out = tmp_path / "bench2.csv"
-    os.environ["FOLDFINDER_THREADS"] = "2"
-    try:
-        code = run(["bench", "--model", "abc", "--q", "1.5", "--gamma", "4",
-                    "--grids", "7,15", "--methods", "direct", "-o", str(out)])
-    finally:
-        del os.environ["FOLDFINDER_THREADS"]
-    assert code == EXIT_OK
-    rows = list(csv.reader(open(out)))
-    # deterministic ordering and identical fold values under fan-out
-    assert [r[:2] for r in rows[1:]] == [["direct", "7"], ["direct", "15"]]
 
 
 def test_check_command(capsys):

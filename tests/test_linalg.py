@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from foldfinder import (LinearOperator, build_grid, smallest_eigenpair,
-                        solve_bordered, solve_spd)
+from foldfinder import (LinearOperator, SingularBorderError, build_grid,
+                        coupled_model, find_fold_direct, hessian_operator,
+                        smallest_eigenpair, solve_bordered, solve_counter,
+                        solve_spd)
 
 
 def _laplacian_operator(n):
@@ -59,6 +61,20 @@ def test_bordered_singular_block_permutation():
         assert y == pytest.approx(r, abs=1e-10 * max(abs(r), 1.0))
 
 
+def test_bordered_singular_matrix_raises():
+    # [[0, 0], [1, 0]]: SuperLU meets an exactly zero pivot
+    op = LinearOperator.from_matrix(sp.csr_matrix(np.zeros((1, 1))))
+    with pytest.raises(SingularBorderError):
+        solve_bordered(op, np.array([0.0]), np.array([1.0]), 0.0,
+                       np.array([1.0]), 1.0)
+
+
+def test_bordered_length_mismatch_raises_value_error():
+    op = LinearOperator.from_matrix(sp.identity(2, format="csr"))
+    with pytest.raises(ValueError):
+        solve_bordered(op, np.ones(3), np.ones(2), 0.0, np.ones(2), 0.0)
+
+
 def test_bordered_against_dense_elimination():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -106,6 +122,15 @@ def test_smallest_eigenpair_diagonal():
     np.testing.assert_allclose(np.abs(phi), [1.0, 0.0, 0.0], atol=1e-8)
 
 
+def test_smallest_eigenpair_counts_every_solve():
+    # the Lanczos iteration applies the shift-invert factor many times; each
+    # application is one counted triangular solve
+    g, op = _laplacian_operator(15)
+    solve_counter.reset()
+    smallest_eigenpair(op, tol=1e-10 * g.stencil_scale)
+    assert solve_counter.value > 1
+
+
 def test_eigenvalue_is_lower_bound_of_rayleigh_quotients():
     g, op = _laplacian_operator(15)
     delta, _ = smallest_eigenpair(op, tol=1e-10 * g.stencil_scale)
@@ -114,3 +139,16 @@ def test_eigenvalue_is_lower_bound_of_rayleigh_quotients():
         v = rng.standard_normal(15)
         rq = (v @ op(v)) / (v @ v)
         assert rq >= delta - 1e-8 * abs(delta)
+
+
+def test_smallest_eigenpair_near_degenerate_fold_state():
+    # coupled model at its fold: the second eigenvalue (~6.6) is close to
+    # the first (~0) compared with their distance to a shift below the
+    # Gershgorin bound; the solver must return the first
+    grid = build_grid("interval", 127)
+    fp = find_fold_direct(grid, coupled_model(q=1.33))
+    hess = hessian_operator(fp.state, fp.lam)
+    tol = 1e-10 * grid.stencil_scale
+    delta, _ = smallest_eigenpair(hess, tol=tol)
+    expect = np.linalg.eigvalsh(hess.matrix.toarray())[0]
+    assert delta == pytest.approx(expect, abs=tol)
