@@ -21,7 +21,8 @@ from .cw import cw_ascend, upper_bound_lambda
 from .energy import make_state, phi, phi_grad, hessian_operator, State
 from .errors import (ConvergenceError, FiberEmptyError, FoldFinderError,
                      NoFoldError)
-from .fold import continue_branch, detect_fold, find_fold_direct
+from .fold import (continue_branch, detect_fold, find_fold_direct,
+                   _third_derivative_blocks)
 from .linalg import solve_counter
 from .mesh import Grid, build_grid, norm
 from .model import ModelSpec, make_model, validate_hypotheses
@@ -54,13 +55,11 @@ _COMMON_KEYS = {"model", "q", "gamma", "m", "grid", "output", "seed", "tol"}
 _KEYS_BY_COMMAND = {
     "solve": _COMMON_KEYS | {"lambda", "restarts", "init"},
     "fold": _COMMON_KEYS | {"restarts", "method"},
-    "continue": _COMMON_KEYS | {"lambda_start", "lambda_end", "step",
-                                "max_records"},
+    "continue": _COMMON_KEYS | {"lambda_start", "step", "max_records"},
     "bench": _COMMON_KEYS | {"grids", "methods"},
     "check": _COMMON_KEYS,
 }
-_FLOAT_KEYS = {"q", "gamma", "lambda", "lambda_start", "lambda_end", "step",
-               "tol"}
+_FLOAT_KEYS = {"q", "gamma", "lambda", "lambda_start", "step", "tol"}
 _INT_KEYS = {"m", "restarts", "seed", "max_records"}
 
 
@@ -288,13 +287,14 @@ def cmd_fold(cfg: RunConfig) -> int:
     bad = _validated(grid, spec)
     if bad is not None:
         return bad
+    tol = float(cfg.get("tol", 1e-12))
     try:
         if method == "direct":
             fp = find_fold_direct(grid, spec,
-                                  restarts=int(cfg.get("restarts", 3)))
+                                  restarts=int(cfg.get("restarts", 3)), tol=tol)
         else:
             branch = continue_branch(grid, spec, lam_start=1.0)
-            fp = detect_fold(grid, spec, branch).fold_point
+            fp = detect_fold(grid, spec, branch, tol=tol).fold_point
     except (ConvergenceError, NoFoldError, FiberEmptyError) as exc:
         print(f"fold search failed: {exc}")
         return EXIT_NO_CONVERGENCE
@@ -308,12 +308,8 @@ def cmd_fold(cfg: RunConfig) -> int:
 
 def cmd_continue(cfg: RunConfig) -> int:
     lam_start = float(cfg.get("lambda_start", 0.5))
-    lam_end = cfg.get("lambda_end")
     if lam_start <= 0:
         raise UsageError("lambda_start must be positive")
-    if lam_end is not None and float(lam_end) <= lam_start:
-        raise UsageError("empty lambda range: lambda_end must exceed "
-                         "lambda_start")
     grid, spec = _build_problem(cfg)
     bad = _validated(grid, spec)
     if bad is not None:
@@ -407,6 +403,15 @@ def cmd_check(cfg: RunConfig) -> int:
     print(f"hessian_fd_error={_fmt(rel_h)}")
     ok &= rel_h <= 1e-6
 
+    v = rng.standard_normal(xi.shape)
+    hv = [hessian_operator(make_state(grid, spec, u + s * eps * xi), lam)(v.ravel())
+          for s in (1.0, -1.0)]
+    fd_t = ((hv[0] - hv[1]) / (2 * eps)).reshape(xi.shape)
+    exact_t = (_third_derivative_blocks(state, lam, v) @ xi.ravel()).reshape(xi.shape)
+    rel_t = norm(grid, fd_t - exact_t) / max(norm(grid, exact_t), 1e-30)
+    print(f"third_derivative_fd_error={_fmt(rel_t)}")
+    ok &= rel_t <= 1e-6
+
     mat = hess.matrix
     asym = abs(mat - mat.T).max()
     print(f"hessian_asymmetry={_fmt(asym)}")
@@ -454,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("continue", help="trace the solution branch")
     _add_common(p)
     p.add_argument("--lambda-start", dest="lambda_start")
-    p.add_argument("--lambda-end", dest="lambda_end")
     p.add_argument("--step", help="initial continuation step")
     p.add_argument("--max-records", dest="max_records")
 

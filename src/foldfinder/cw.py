@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConeError, ConvergenceError
 from .energy import State, make_state, require_cone_interior, FiberExpansion
 from .mesh import Grid, apply_laplacian, norm, principal_laplacian_eigenvalue
-from .model import ModelSpec, eval_g, eval_g_jacobian, _power, _simplex_rays
+from .model import (ModelSpec, eval_g, eval_g_jacobian, _simplex_rays,
+                    _term_partials)
 from .spectrum import stability_index, stability_tolerance
 
 _CONE_FLOOR = 1e-12
@@ -182,24 +183,16 @@ def upper_bound_lambda(spec: ModelSpec, grid: Grid,
     if not spec.degrees:
         return math.inf
     lam1 = principal_laplacian_eigenvalue(grid, mask)
+    degrees = np.array(spec.degrees)
 
     def ray_max(e: np.ndarray) -> float:
         se = float(e.sum())
         sq = float((e ** (spec.q - 1.0)).sum())
         if se <= 0 or sq <= 0:
             return -math.inf
-        degrees, betas = [], []
-        for c, ps in spec.terms:
-            if c == 0.0:
-                continue
-            d = sum(ps)
-            val = c * d
-            for i, p in enumerate(ps):
-                val *= float(_power(np.asarray(e[i]), p))
-            degrees.append(d)
-            betas.append(val)
+        betas = degrees * _term_partials(spec, e, 0)
         exp = FiberExpansion(a=lam1 * se, qn=sq, q=spec.q,
-                             degrees=tuple(degrees), betas=tuple(betas))
+                             degrees=spec.degrees, betas=tuple(betas.tolist()))
         return exp.max_value()
 
     if spec.m == 1:

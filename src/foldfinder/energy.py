@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .errors import ConeError, SigmaError
 from .linalg import LinearOperator
 from .mesh import Grid, apply_laplacian, inner_product, norm
-from .model import ModelSpec, eval_G, eval_g, eval_g_jacobian
+from .model import ModelSpec, eval_G, eval_g, eval_g_jacobian, _term_partials
 
 CONE_FLOOR_REL = 1e-14
 
@@ -88,25 +88,29 @@ def phi_grad(state: State, lam: float) -> np.ndarray:
     return apply_laplacian(g, u) - lam * u ** (q - 1.0) - eval_g(state.spec, u)
 
 
+def _block_diags(blocks: np.ndarray) -> sp.csr_matrix:
+    """Sparse (mN, mN) matrix whose (i, j) block is diag(blocks[i, j]).
+
+    ``blocks`` has shape (m, m, N); block offset k = j - i is the matrix
+    diagonal at offset k N, so one ``sp.diags`` call builds every block.
+    """
+    m, _, n = blocks.shape
+    offsets = range(1 - m, m)
+    diagonals = [np.concatenate([blocks[i, i + k]
+                                 for i in range(max(0, -k), min(m, m - k))])
+                 for k in offsets]
+    return sp.diags(diagonals, [k * n for k in offsets], shape=(m * n, m * n),
+                    format="csr")
+
+
 def hessian_operator(state: State, lam: float) -> LinearOperator:
     """Linearization H phi = -Delta_h phi - G_uu(u) phi - lam (q-1) u^(q-2) phi."""
     require_cone_interior(state)
     g, u, q, m = state.grid, state.u, state.spec.q, state.spec.m
-    n = g.n_nodes
-    jac = eval_g_jacobian(state.spec, u)  # (m, m, N)
-    blocks = [[sp.diags(jac[i, j]) for j in range(m)] for i in range(m)]
-    mat = (sp.kron(sp.eye(m), g.laplacian)
-           - sp.bmat(blocks)
-           - sp.diags((lam * (q - 1.0) * u ** (q - 2.0)).ravel()))
+    blocks = -eval_g_jacobian(state.spec, u)  # (m, m, N)
+    blocks[range(m), range(m)] -= lam * (q - 1.0) * u ** (q - 2.0)
+    mat = sp.kron(sp.eye(m), g.laplacian) + _block_diags(blocks)
     return LinearOperator.from_matrix(mat.tocsr(), weight=g.node_weight)
-
-
-def hessian_local_apply(state: State, lam: float, v: np.ndarray) -> np.ndarray:
-    """Only the nodewise (non-Laplacian) part of the Hessian applied to v."""
-    u, q = state.u, state.spec.q
-    jac = eval_g_jacobian(state.spec, u)
-    return -(np.einsum("ijn,jn->in", jac, v)
-             + lam * (q - 1.0) * u ** (q - 2.0) * v)
 
 
 def _sigma_denominator(state: State, v: np.ndarray) -> float:
@@ -225,19 +229,9 @@ def fiber_expansion(state: State, v: np.ndarray | None = None) -> FiberExpansion
     qn = w * float((v ** spec.q).sum())
     if qn == 0.0:
         raise SigmaError("fiber undefined along the zero direction")
-    degrees, betas = [], []
-    for c, ps in spec.terms:
-        if c == 0.0:
-            continue
-        d = sum(ps)
-        term = np.full(g.n_nodes, c)
-        for i, p in enumerate(ps):
-            if p:
-                term = term * v[i] ** p
-        degrees.append(d)
-        betas.append(d * w * float(term.sum()))
+    betas = np.array(spec.degrees) * (w * _term_partials(spec, v, 0).sum(axis=1))
     return FiberExpansion(a=a, qn=qn, q=spec.q,
-                          degrees=tuple(degrees), betas=tuple(betas))
+                          degrees=spec.degrees, betas=tuple(betas.tolist()))
 
 
 def fiber(state: State, t: float) -> tuple[float, float]:

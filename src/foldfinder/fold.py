@@ -2,7 +2,7 @@
 
 The augmented system {residual = 0, Hessian * v = 0, <v, v> = 1} is solved
 by damped Newton; the directional third-derivative blocks in its Jacobian
-are central finite differences of the Hessian's nodewise part.  The whole
+are exact, read from the model's monomial kernel.  The whole
 augmented Jacobian is assembled sparse and factorized directly: block
 elimination through the (near) singular Hessian pivot amplifies roundoff
 along the null direction, while the augmented matrix itself is regular at
@@ -22,11 +22,11 @@ from scipy.sparse.linalg import splu
 
 from .errors import (ConeError, ConvergenceError, FiberEmptyError, NoFoldError,
                      SingularBorderError)
-from .energy import (State, hessian_local_apply, hessian_operator, make_state,
-                     phi, phi_grad)
+from .energy import (State, _block_diags, hessian_operator, make_state, phi,
+                     phi_grad)
 from .linalg import solve_bordered, solve_counter, smallest_eigenpair
 from .mesh import Grid, norm
-from .model import ModelSpec
+from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_nehari, sublinear_state, _clip_cone
 from .cw import CwCandidate, cw_ascend, cw_value, upper_bound_lambda
 from .spectrum import stability_index
@@ -72,27 +72,20 @@ class FoldDetection:
         return abs(self.lambda_bisect - self.lambda_moore_spence)
 
 
-def _third_derivative_blocks(state: State, lam: float, v: np.ndarray,
-                             eps_rel: float = 1e-6) -> sp.spmatrix:
-    """FD of the Hessian's nodewise part in the state: d/du [H(u) v].
+def _third_derivative_blocks(state: State, lam: float,
+                             v: np.ndarray) -> sp.csr_matrix:
+    """Exact d/du [H(u) v], the state derivative of the Hessian applied to v.
 
     The non-Laplacian part of the Hessian is local, so its derivative is
-    block-diagonal over nodes; one central difference per component direction
-    recovers every block column at once.
+    block-diagonal over nodes: block (i, j) is
+    -sum_k G_ijk v_k - [i = j] lam (q-1)(q-2) u_i^(q-3) v_i.
     """
-    grid, spec = state.grid, state.spec
-    m, n = spec.m, grid.n_nodes
-    eps = eps_rel * max(state.sup, 1.0)
-    cols = []
-    for j in range(m):
-        bump = np.zeros((m, n))
-        bump[j] = eps
-        plus = hessian_local_apply(state.with_u(state.u + bump), lam, v)
-        minus = hessian_local_apply(state.with_u(np.maximum(state.u - bump,
-                                                            1e-30)), lam, v)
-        cols.append((plus - minus) / (2.0 * eps))
-    blocks = [[sp.diags(cols[j][i]) for j in range(m)] for i in range(m)]
-    return sp.bmat(blocks)
+    u, spec = state.u, state.spec
+    q, m = spec.q, spec.m
+    g3 = _term_partials(spec, u, 3).sum(axis=0)             # (m, m, m, N)
+    blocks = -np.einsum("ijkn,kn->ijn", g3, v)
+    blocks[range(m), range(m)] -= lam * (q - 1.0) * (q - 2.0) * u ** (q - 3.0) * v
+    return _block_diags(blocks)
 
 
 def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
@@ -362,11 +355,13 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
 
 
 def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
-                tol: float = 1e-8) -> FoldDetection:
+                tol: float = 1e-12) -> FoldDetection:
     """Bisection on the stability sign change, cross-checked by refinement.
 
     Returns both the bisection estimate and the augmented-Newton value from
-    the bracket midpoint.
+    the bracket midpoint; ``tol`` is the augmented-Newton tolerance (see
+    ``moore_spence_solve``).  Bisection stops once the bracket is 1e-9
+    relative wide.
     """
     idx = None
     for i in range(len(branch.records) - 1):
@@ -400,7 +395,7 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
             sa, la, da = st, lam_m, dm
         else:
             sb, lb, db = st, lam_m, dm
-        if abs(la - lb) <= 0.1 * tol * max(abs(la), 1.0) or abs(dm) \
+        if abs(la - lb) <= 1e-9 * max(abs(la), 1.0) or abs(dm) \
                 <= 1e-12 * grid.stencil_scale:
             break
 
@@ -413,6 +408,6 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     mid_state = make_state(grid, spec, _clip_cone(0.5 * (sa.u + sb.u)))
     stab = stability_index(mid_state)
     fp = moore_spence_solve(grid, spec, mid_state, stab.eigenfield,
-                            0.5 * (la + lb))
+                            0.5 * (la + lb), tol=tol)
     return FoldDetection(lambda_bisect=float(lam_bisect), bracket=bracket,
                          fold_point=fp, lambda_moore_spence=fp.lam)

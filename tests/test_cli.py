@@ -98,11 +98,34 @@ def test_continue_branch_csv(tmp_path):
     assert any(d <= 0 for d in deltas)
 
 
-def test_continue_empty_range_usage_error(capsys):
+def test_continue_lambda_end_is_unknown_flag(tmp_path):
+    # continuation stops at the fold or max_records; there is no end value
     code = run(["continue", "--model", "abc", "--q", "1.5", "--gamma", "4",
                 "--grid", "interval:15", "--lambda-start", "2.0",
-                "--lambda-end", "1.0"])
+                "--lambda-end", "3.0"])
     assert code == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = abc\nlambda_end = 3.0\n")
+    assert run(["continue", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def _fold_summary(capsys, args):
+    assert run(args) == EXIT_OK
+    out = capsys.readouterr().out
+    iterations = int(out.split("iterations=")[1].split()[0])
+    residuals = [float(r) for r in out.split("residuals=")[1].split()[0].split(",")]
+    return iterations, max(residuals)
+
+
+def test_fold_honours_tol(capsys):
+    scale = build_grid("interval", 15).stencil_scale
+    for method in ("direct", "continuation"):
+        args = ["fold", "--method", method, "--model", "abc", "--q", "1.5",
+                "--gamma", "4", "--grid", "interval:15"]
+        strict = _fold_summary(capsys, args)
+        loose = _fold_summary(capsys, args + ["--tol", "1e-6"])
+        assert loose[0] < strict[0]
+        assert strict[1] <= 1e-12 * scale < loose[1] <= 1e-6 * scale
 
 
 def test_unknown_flag_usage_error():
@@ -129,6 +152,7 @@ def test_check_command(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "all checks passed" in out
+    assert "third_derivative_fd_error=" in out
     assert run(["check", "--model", "abc", "--q", "2.5", "--gamma", "4",
                 "--grid", "interval:7"]) == EXIT_INVALID_MODEL
 

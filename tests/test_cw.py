@@ -123,3 +123,15 @@ def test_stable_candidates_respect_upper_bound():
         cand = cw_ascend(init, max_iters=120)
         if cand.stable:
             assert cand.lambda_cw <= bound + 1e-8 * bound
+
+
+def test_upper_bound_and_fiber_values_are_python_floats():
+    # numpy scalars here turn every comparison into a numpy bool, which
+    # json cannot encode
+    from foldfinder import fiber_expansion
+
+    grid = build_grid("interval", 7)
+    for spec in (abc_model(q=1.5, gamma=4.0), coupled_model(q=1.5)):
+        assert type(upper_bound_lambda(spec, grid)) is float
+        state = make_state(grid, spec, np.ones((spec.m, 7)))
+        assert type(fiber_expansion(state).max_value()) is float

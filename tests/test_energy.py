@@ -208,3 +208,32 @@ def test_direction_descent_flags():
     grid, spec, off = _random_state(21)
     ok2, history2 = rayleigh_direction_descent(off, np.ones_like(off.u))
     assert not ok2
+
+
+def _hessian_reference(state, lam):
+    """The block-by-block sp.kron / sp.bmat assembly, kept as the reference."""
+    import scipy.sparse as sp
+
+    from foldfinder import eval_g_jacobian
+
+    g, u, q, m = state.grid, state.u, state.spec.q, state.spec.m
+    jac = eval_g_jacobian(state.spec, u)
+    blocks = [[sp.diags(jac[i, j]) for j in range(m)] for i in range(m)]
+    return (sp.kron(sp.eye(m), g.laplacian) - sp.bmat(blocks)
+            - sp.diags((lam * (q - 1.0) * u ** (q - 2.0)).ravel())).toarray()
+
+
+def test_hessian_matches_block_assembly():
+    from foldfinder import ModelSpec
+
+    rng = np.random.default_rng(7)
+    mixed = ModelSpec(m=3, q=1.5, terms=((0.25, (4.0, 0.0, 0.0)),
+                                         (0.5, (0.0, 4.0, 1.0)),
+                                         (1.0, (2.0, 1.0, 1.5))))
+    for spec in (abc_model(q=1.5, gamma=4.0), coupled_model(q=1.5), mixed):
+        for grid in (build_grid("interval", 9), build_grid("rectangle", 4)):
+            u = 0.5 + rng.random((spec.m, grid.n_nodes))
+            state = make_state(grid, spec, u)
+            ref = _hessian_reference(state, 1.7)
+            mat = hessian_operator(state, 1.7).matrix.toarray()
+            assert np.abs(mat - ref).max() <= 1e-15 * np.abs(ref).max()

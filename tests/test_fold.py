@@ -108,3 +108,27 @@ def test_cross_method_agreement_medium_grid():
     det = detect_fold(grid, _abc(), branch)
     assert abs(fp.lam - det.lambda_moore_spence) <= 1e-6 * fp.lam
     assert abs(det.lambda_bisect - det.lambda_moore_spence) <= 1e-6 * fp.lam
+
+
+@pytest.mark.parametrize("spec", [
+    abc_model(q=1.5, gamma=4.0),
+    abc_model(q=1.5, gamma=3.7),
+    coupled_model(q=1.5),
+    ModelSpec(m=3, q=1.4, terms=((0.25, (4.0, 0.0, 0.0)),
+                                 (0.5, (0.0, 3.5, 0.0)),
+                                 (1.0, (2.0, 1.0, 1.5)),
+                                 (0.4, (1.0, 0.0, 3.0)))),
+], ids=["abc-4", "abc-3.7", "coupled", "mixed-m3"])
+def test_third_derivative_blocks_finite_difference(spec):
+    from foldfinder.energy import hessian_operator
+    from foldfinder.fold import _third_derivative_blocks
+
+    rng = np.random.default_rng(6)
+    grid, lam, eps = build_grid("interval", 7), 2.0, 1e-5
+    u = 0.5 + rng.random((spec.m, 7))
+    v, xi = rng.standard_normal((2, spec.m, 7))
+    exact = _third_derivative_blocks(make_state(grid, spec, u), lam, v) @ xi.ravel()
+    hv = [hessian_operator(make_state(grid, spec, u + s * eps * xi), lam)(v.ravel())
+          for s in (1.0, -1.0)]
+    fd = (hv[0] - hv[1]) / (2 * eps)
+    assert np.linalg.norm(fd - exact) <= 1e-7 * np.linalg.norm(exact)

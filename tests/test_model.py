@@ -139,3 +139,48 @@ def test_modelspec_validation():
         ModelSpec(m=0, q=1.5, terms=())
     with pytest.raises(ValueError):
         ModelSpec(m=1, q=1.5, terms=((-1.0, (4.0,)),))
+
+
+# m = 3 model mixing pure, cross and non-integer monomials, all of degree 4
+MIXED3 = ModelSpec(m=3, q=1.5, terms=(
+    (0.25, (4.0, 0.0, 0.0)),
+    (0.5, (0.0, 4.0, 0.0)),
+    (0.3, (0.0, 0.0, 4.0)),
+    (1.0, (2.0, 1.0, 1.0)),
+    (0.7, (1.5, 1.5, 1.0)),
+    (0.4, (1.0, 0.0, 3.0)),
+))
+
+
+def test_three_component_derivatives_finite_difference():
+    rng = np.random.default_rng(4)
+    eps = 1e-5
+    u = 0.5 + rng.random((3, 6))
+    g = eval_g(MIXED3, u)
+    jac = eval_g_jacobian(MIXED3, u)
+    np.testing.assert_array_equal(jac, np.swapaxes(jac, 0, 1))
+    for i in range(3):
+        up, dn = u.copy(), u.copy()
+        up[i] += eps
+        dn[i] -= eps
+        fd_g = (eval_G(MIXED3, up) - eval_G(MIXED3, dn)) / (2 * eps)
+        np.testing.assert_allclose(fd_g, g[i], rtol=1e-8)
+        fd_jac = (eval_g(MIXED3, up) - eval_g(MIXED3, dn)) / (2 * eps)
+        np.testing.assert_allclose(fd_jac, jac[:, i], rtol=1e-8, atol=1e-10)
+
+
+def test_third_order_euler_identity():
+    from foldfinder.model import _term_partials
+
+    rng = np.random.default_rng(5)
+    for spec, d in ((abc_model(q=1.5, gamma=4.0), 4.0),
+                    (abc_model(q=1.5, gamma=3.7), 3.7),
+                    (coupled_model(q=1.5), 4.0), (MIXED3, 4.0)):
+        u = 0.5 + rng.random((spec.m, 5))
+        g3 = _term_partials(spec, u, 3).sum(axis=0)
+        lhs = np.einsum("ijkn,in,jn,kn->n", g3, u, u, u)
+        np.testing.assert_allclose(lhs, d * (d - 1) * (d - 2) * eval_G(spec, u),
+                                   rtol=1e-12)
+    # a vanished falling factorial must not meet 0 ** (negative) at u = 0
+    at_zero = _term_partials(coupled_model(q=1.5), np.zeros((2, 3)), 3)
+    assert np.all(np.isfinite(at_zero))
