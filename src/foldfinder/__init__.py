@@ -6,7 +6,7 @@ from .errors import (ConeError, ConvergenceError, FiberEmptyError,
 from .mesh import (Grid, apply_laplacian, build_grid, inner_product,
                    interval_eigenvalue, norm, principal_laplacian_eigenvalue)
 from .linalg import (LinearOperator, smallest_eigenpair, solve_bordered,
-                     solve_counter, solve_spd)
+                     solve_counter)
 from .model import (HypothesisReport, ModelSpec, abc_model, coupled_model,
                     eval_G, eval_g, eval_g_jacobian, make_model,
                     validate_hypotheses, zero_model)

@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cw import cw_ascend, upper_bound_lambda
+from .cw import upper_bound_lambda
 from .energy import make_state, phi, phi_grad, hessian_operator, State
 from .errors import (ConvergenceError, FiberEmptyError, FoldFinderError,
                      NoFoldError)
 from .fold import (continue_branch, detect_fold, find_fold_direct,
                    _third_derivative_blocks)
 from .linalg import solve_counter
-from .mesh import Grid, build_grid, norm
+from .mesh import Grid, build_grid, inner_product, norm
 from .model import ModelSpec, make_model, validate_hypotheses
-from .nehari import solve_nehari_multistart, sublinear_state
-from .spectrum import stability_index
+from .nehari import solve_nehari, solve_nehari_multistart
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -51,13 +50,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # configuration
 
-_COMMON_KEYS = {"model", "q", "gamma", "m", "grid", "output", "seed", "tol"}
+_COMMON_KEYS = {"model", "q", "gamma", "m", "grid", "output"}
 _KEYS_BY_COMMAND = {
-    "solve": _COMMON_KEYS | {"lambda", "restarts", "init"},
-    "fold": _COMMON_KEYS | {"restarts", "method"},
+    "solve": _COMMON_KEYS | {"lambda", "restarts", "init", "seed", "tol"},
+    "fold": _COMMON_KEYS | {"restarts", "method", "tol"},
     "continue": _COMMON_KEYS | {"lambda_start", "step", "max_records"},
     "bench": _COMMON_KEYS | {"grids", "methods"},
-    "check": _COMMON_KEYS,
+    "check": _COMMON_KEYS | {"seed"},
 }
 _FLOAT_KEYS = {"q", "gamma", "lambda", "lambda_start", "step", "tol"}
 _INT_KEYS = {"m", "restarts", "seed", "max_records"}
@@ -252,8 +251,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         init = read_solution_csv(cfg.get("init"), grid, spec)
     try:
         if init is not None:
-            from .nehari import solve_nehari
-
             winner = solve_nehari(grid, spec, lam, init=init, tol=tol)
             winner = winner if winner.converged else None
         else:
@@ -340,7 +337,7 @@ def _bench_one(method: str, n: int, spec: ModelSpec):
         branch = continue_branch(grid, spec, lam_start=1.0)
         lam = detect_fold(grid, spec, branch).lambda_moore_spence
     elapsed = time.perf_counter() - t0
-    return (method, n, lam, elapsed, solve_counter.value)
+    return (method, n, lam, elapsed, solve_counter.reset())
 
 
 def cmd_bench(cfg: RunConfig) -> int:
@@ -388,8 +385,6 @@ def cmd_check(cfg: RunConfig) -> int:
 
     fd = (phi(make_state(grid, spec, u + eps * xi), lam)
           - phi(make_state(grid, spec, u - eps * xi), lam)) / (2 * eps)
-    from .mesh import inner_product
-
     exact = inner_product(grid, phi_grad(state, lam), xi)
     rel_g = abs(fd - exact) / max(abs(exact), 1e-30)
     print(f"gradient_fd_error={_fmt(rel_g)}")
@@ -435,8 +430,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", help="component count (zero model)")
     sub.add_argument("--grid", help="grid spec kind:n, e.g. interval:127")
     sub.add_argument("--output", "-o", help="CSV output path (default stdout)")
-    sub.add_argument("--seed", help="seed for multi-start sampling")
-    sub.add_argument("--tol", help="relative solver tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,11 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda", help="branch parameter")
     p.add_argument("--restarts", help="multi-start count")
     p.add_argument("--init", help="solution CSV to use as initial state")
+    p.add_argument("--seed", help="seed for multi-start sampling")
+    p.add_argument("--tol", help="relative solver tolerance")
 
     p = subs.add_parser("fold", help="locate the maximal fold point")
     _add_common(p)
     p.add_argument("--restarts", help="ascent restart count")
     p.add_argument("--method", help="direct or continuation")
+    p.add_argument("--tol", help="relative augmented-Newton tolerance")
 
     p = subs.add_parser("continue", help="trace the solution branch")
     _add_common(p)
@@ -469,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="validate the model and derivatives")
     _add_common(p)
+    p.add_argument("--seed", help="seed for the finite-difference probes")
     return parser
 
 

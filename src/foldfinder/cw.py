@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConeError, ConvergenceError
-from .energy import State, make_state, require_cone_interior, FiberExpansion
+from .energy import State, require_cone_interior, FiberExpansion
 from .mesh import Grid, apply_laplacian, norm, principal_laplacian_eigenvalue
 from .model import (ModelSpec, eval_g, eval_g_jacobian, _simplex_rays,
                     _term_partials)
@@ -43,19 +42,14 @@ def _ratios(state: State) -> np.ndarray:
     return num / u ** (q - 1.0)
 
 
-def cw_value(state: State, with_delta: bool = False) -> CwCandidate:
+def cw_value(state: State) -> CwCandidate:
     """Minimum nodewise residual ratio, its argmin, and the max-min gap."""
     require_cone_interior(state)
     r = _ratios(state)
     flat = int(np.argmin(r))
     active = (flat // state.grid.n_nodes, flat % state.grid.n_nodes)
-    cand = CwCandidate(state=state, lambda_cw=float(r.min()),
+    return CwCandidate(state=state, lambda_cw=float(r.min()),
                        active_node=active, gap=float(r.max() - r.min()))
-    if with_delta:
-        stab = stability_index(state)
-        cand.delta = stab.delta
-        cand.stable = stab.delta >= -stability_tolerance(state)
-    return cand
 
 
 def _softmin_and_grad(state: State, temp: float) -> tuple[float, np.ndarray]:
@@ -171,8 +165,7 @@ def cw_ascend(init: State, *, max_iters: int = 400, gap_tol: float = 1e-8,
     return out
 
 
-def upper_bound_lambda(spec: ModelSpec, grid: Grid,
-                       mask: np.ndarray | None = None) -> float:
+def upper_bound_lambda(spec: ModelSpec, grid: Grid) -> float:
     """A-priori bound: max over positive rays of the eigenvalue-shifted ratio.
 
     Lambda = max_u [lambda_1 * sum(u_i) - sum(g_i(u))] / sum(u_i^(q-1)); every
@@ -182,7 +175,7 @@ def upper_bound_lambda(spec: ModelSpec, grid: Grid,
     """
     if not spec.degrees:
         return math.inf
-    lam1 = principal_laplacian_eigenvalue(grid, mask)
+    lam1 = principal_laplacian_eigenvalue(grid)
     degrees = np.array(spec.degrees)
 
     def ray_max(e: np.ndarray) -> float:

@@ -2,13 +2,14 @@
 
 The augmented system {residual = 0, Hessian * v = 0, <v, v> = 1} is solved
 by damped Newton; the directional third-derivative blocks in its Jacobian
-are exact, read from the model's monomial kernel.  The whole
-augmented Jacobian is assembled sparse and factorized directly: block
-elimination through the (near) singular Hessian pivot amplifies roundoff
-along the null direction, while the augmented matrix itself is regular at
-a fold.  Continuation uses natural stepping with a secant predictor and
-switches to pseudo-arclength (bordered) correction when the corrector
-degrades near the turning point.
+are exact, read from the model's monomial kernel.  Each Newton step is one
+``solve_bordered`` call: the block operator [[H, 0], [C, H]] bordered by the
+lambda column and the normalization row.  That bordered matrix is factored
+whole, because block elimination through the (near) singular Hessian pivot
+amplifies roundoff along the null direction, while the augmented matrix
+itself is regular at a fold.  Continuation uses natural stepping with a
+secant predictor and switches to pseudo-arclength (bordered) correction
+when the corrector degrades near the turning point.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .errors import (ConeError, ConvergenceError, FiberEmptyError, NoFoldError,
+from .errors import (ConeError, ConvergenceError, NoFoldError,
                      SingularBorderError)
 from .energy import (State, _block_diags, hessian_operator, make_state, phi,
                      phi_grad)
-from .linalg import solve_bordered, solve_counter, smallest_eigenpair
+from .linalg import LinearOperator, smallest_eigenpair, solve_bordered
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_nehari, sublinear_state, _clip_cone
-from .cw import CwCandidate, cw_ascend, cw_value, upper_bound_lambda
+from .cw import CwCandidate, cw_ascend, upper_bound_lambda
 from .spectrum import stability_index
 
 
@@ -130,24 +130,21 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                 and abs(f3) <= tol_abs):
             break
         h_mat = hess.matrix
-        c_mat = _third_derivative_blocks(state, lam, v)
+        block = LinearOperator.from_matrix(sp.bmat(
+            [[h_mat, None], [_third_derivative_blocks(state, lam, v), h_mat]]))
         q = spec.q
-        p_col = -(state.u ** (q - 1.0)).reshape(-1, 1)
-        s_col = -((q - 1.0) * state.u ** (q - 2.0) * v).reshape(-1, 1)
-        bottom = sp.hstack([sp.csr_matrix((1, m * n)),
-                            sp.csr_matrix(2.0 * w * v.reshape(1, -1)),
-                            sp.csr_matrix((1, 1))])
-        jac = sp.vstack([
-            sp.hstack([h_mat, sp.csr_matrix((m * n, m * n)), p_col]),
-            sp.hstack([c_mat, h_mat, s_col]),
-            bottom,
-        ]).tocsc()
-        rhs = -np.concatenate([f1.ravel(), f2.ravel(), [f3]])
-        step = splu(jac).solve(rhs)
-        solve_counter.value += 1
+        col = -np.concatenate([(state.u ** (q - 1.0)).ravel(),
+                               ((q - 1.0) * state.u ** (q - 2.0) * v).ravel()])
+        row = np.concatenate([np.zeros(m * n), 2.0 * w * v.ravel()])
+        rhs = -np.concatenate([f1.ravel(), f2.ravel()])
+        try:
+            step, dlam = solve_bordered(block, col, row, 0.0, rhs, -f3)
+        except SingularBorderError as exc:
+            raise ConvergenceError(f"augmented Newton step failed: {exc}",
+                                   residual=math.sqrt(theta), iterations=it,
+                                   best=best) from exc
         du = step[:m * n].reshape(m, n)
-        dv = step[m * n:2 * m * n].reshape(m, n)
-        dlam = float(step[-1])
+        dv = step[m * n:].reshape(m, n)
 
         alpha, accepted = 1.0, False
         for _ in range(25):

@@ -1,9 +1,12 @@
 """Sparse linear algebra over matrix-backed grid operators.
 
-Every operator carries its sparse matrix, so each solve goes through one
-SuperLU factorization: ``solve_spd`` factors A, ``solve_bordered`` factors
-the assembled bordered matrix, and ``smallest_eigenpair`` factors H - sigma I
-once and hands it to ARPACK as the shift-invert operator.
+This is the only module that factors a matrix, and ``_factorized`` is its
+only SuperLU binding: every triangular solve in the package goes through a
+factor it returns, and is counted in ``solve_counter``.  ``solve_bordered``
+factors the assembled bordered matrix, ``smallest_eigenpair`` factors
+H - sigma I once and hands it to ARPACK as the shift-invert operator, and
+the Newton and fixed-point loops elsewhere factor their own matrices
+through ``_factorized``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ class _SolveCounter:
 
     value = 0
 
-    def reset(self):
-        self.value = 0
+    def reset(self) -> int:
+        """Zero the count; returns the count before."""
+        count, self.value = self.value, 0
+        return count
 
 
 solve_counter = _SolveCounter()
@@ -53,9 +58,6 @@ class LinearOperator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(self.weight) * float(np.linalg.norm(x))
-
     def scale(self) -> float:
         """Largest absolute row sum, used to scale shifts and tolerances."""
         return float(abs(self.matrix).sum(axis=1).max())
@@ -70,24 +72,6 @@ def _factorized(matrix) -> Callable[[np.ndarray], np.ndarray]:
         return lu.solve(b)
 
     return solve
-
-
-def solve_spd(op: LinearOperator, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A.
-
-    One direct factorization; the relative residual is verified.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != op.dim:
-        raise ValueError(f"rhs has length {b.shape[0]}, operator dim {op.dim}")
-    x = _factorized(op.matrix)(b)
-    b_norm = np.linalg.norm(b) or 1.0
-    rel = np.linalg.norm(op(x) - b) / b_norm
-    if rel > max(tol, 1e3 * np.finfo(float).eps) * 10:
-        raise ConvergenceError("solve_spd residual too large", residual=rel, best=x)
-    return x
 
 
 def solve_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridMismatchError
+from .linalg import LinearOperator, smallest_eigenpair
 
 
 @dataclass(frozen=True)
@@ -139,23 +140,9 @@ def norm(grid: Grid, f: np.ndarray) -> float:
     return math.sqrt(grid.node_weight) * float(np.linalg.norm(f.ravel()))
 
 
-def principal_laplacian_eigenvalue(grid: Grid, mask: np.ndarray | None = None) -> float:
-    """Smallest eigenvalue of -Delta_h restricted to the masked nodes.
-
-    Nodes outside the mask are treated as Dirichlet (zero).  Relative
-    tolerance 1e-10.
-    """
-    from .linalg import LinearOperator, smallest_eigenpair
-
-    if mask is None:
-        mask = np.ones(grid.n_nodes, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (grid.n_nodes,):
-        raise GridMismatchError("mask length must equal the node count")
-    if not mask.any():
-        raise ValueError("mask must select at least one node")
-    sub = grid.laplacian[mask][:, mask].tocsc()
-    op = LinearOperator.from_matrix(sub, weight=grid.node_weight)
+def principal_laplacian_eigenvalue(grid: Grid) -> float:
+    """Smallest eigenvalue of -Delta_h; residual 1e-10 of the stencil scale."""
+    op = LinearOperator.from_matrix(grid.laplacian, weight=grid.node_weight)
     delta, _ = smallest_eigenpair(op, tol=1e-10 * grid.stencil_scale)
     return delta
 

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
 
 from .errors import ConeError, ConvergenceError, FiberEmptyError
 from .energy import (State, fiber_expansion, hessian_operator, make_state, phi,
                      phi_grad)
-from .linalg import solve_counter
+from .linalg import _factorized
 from .mesh import Grid, norm
-from .model import ModelSpec
+from .model import ModelSpec, zero_model
 from .spectrum import stability_index, stability_tolerance
 
 _CLIP_REL = 1e-12  # cone floor used to keep iterates strictly interior
@@ -43,38 +42,31 @@ def solve_sublinear(grid: Grid, q: float, lam: float,
                     tol: float = 1e-13, max_iters: int = 500) -> np.ndarray:
     """Unique positive solution of -Delta_h w = lam w^(q-1).
 
-    Monotone fixed-point iteration followed by a Newton polish; returns the
-    nodal values, shape (N,).
+    Monotone fixed-point iteration, then ``newton_solve`` on the zero model,
+    whose residual and Hessian are those of this equation; returns the nodal
+    values, shape (N,).  ``tol`` is relative to the stencil scale and to
+    max(||w||, 1).
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if not 1.0 < q < 2.0:
         raise ValueError("q must lie in (1, 2)")
-    lu = splu(grid.laplacian.tocsc())
+    lap_solve = _factorized(grid.laplacian)
     w = np.full(grid.n_nodes, 1.0)
-    for it in range(max_iters):
-        w_new = lu.solve(lam * w ** (q - 1.0))
-        solve_counter.value += 1
-        if norm(grid, w_new - w) <= 1e-8 * max(norm(grid, w_new), 1e-300):
-            w = w_new
-            break
+    for _ in range(max_iters):
+        w_new = lap_solve(lam * w ** (q - 1.0))
+        done = norm(grid, w_new - w) <= 1e-8 * max(norm(grid, w_new), 1e-300)
         w = w_new
-    # Newton polish: the linearization L - lam (q-1) w^(q-2) is an M-matrix
-    import scipy.sparse as sp
-
-    for _ in range(50):
-        res = grid.laplacian @ w - lam * w ** (q - 1.0)
-        if norm(grid, res) <= tol * grid.stencil_scale * max(norm(grid, w), 1.0):
-            return w
-        jac = grid.laplacian - sp.diags(lam * (q - 1.0) * w ** (q - 2.0))
-        dw = splu(jac.tocsc()).solve(-res)
-        solve_counter.value += 1
-        w_next = w + dw
-        if np.any(w_next <= 0):
-            w_next = np.maximum(w + 0.5 * dw, 0.5 * w)
-        w = w_next
-    raise ConvergenceError("sublinear solve stalled",
-                           residual=norm(grid, res), iterations=max_iters)
+        if done:
+            break
+    spec = zero_model(q)
+    state, ok, iters, rn = newton_solve(
+        grid, spec, lam, make_state(grid, spec, w[None, :]),
+        tol=tol * max(norm(grid, w), 1.0), max_iters=50)
+    if not ok:
+        raise ConvergenceError("sublinear solve stalled", residual=rn,
+                               iterations=iters)
+    return state.u[0]
 
 
 def sublinear_state(grid: Grid, spec: ModelSpec, lam: float) -> State:
@@ -134,9 +126,7 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
         if rn <= tol_abs:
             return state, True, it, rn
         hess = hessian_operator(state, lam)
-        flat = splu(hess.matrix.tocsc()).solve(-res.ravel())
-        solve_counter.value += 1
-        step = flat.reshape(res.shape)
+        step = _factorized(hess.matrix)(-res.ravel()).reshape(res.shape)
         alpha, accepted = 1.0, False
         for _ in range(30):
             u_try = _clip_cone(state.u + alpha * step)
@@ -171,7 +161,7 @@ def solve_nehari(grid: Grid, spec: ModelSpec, lam: float,
     tol_abs = tol * grid.stencil_scale
     if init is None:
         init = sublinear_state(grid, spec, lam)
-    lap_lu = splu(grid.laplacian.tocsc())
+    lap_solve = _factorized(grid.laplacian)
 
     u = _clip_cone(init.u.copy())
     state = make_state(grid, spec, u)
@@ -193,8 +183,7 @@ def solve_nehari(grid: Grid, spec: ModelSpec, lam: float,
         rn = norm(grid, res)
         if rn <= coarse_tol:
             break
-        direction = -np.vstack([lap_lu.solve(res[i]) for i in range(spec.m)])
-        solve_counter.value += spec.m
+        direction = -np.vstack([lap_solve(res[i]) for i in range(spec.m)])
         slope = grid.node_weight * float(np.vdot(res, direction).real)
         alpha, accepted = 1.0, False
         for _ in range(40):

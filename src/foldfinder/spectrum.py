@@ -20,7 +20,6 @@ class StabilityResult:
     delta: float
     eigenfield: np.ndarray       # (m, N), quadrature-normalized
     lambda_used: float
-    residual: float
 
 
 def stability_index(state: State, tol: float = 1e-10) -> StabilityResult:
@@ -33,10 +32,9 @@ def stability_index(state: State, tol: float = 1e-10) -> StabilityResult:
     hess = hessian_operator(state, lam)
     tol_abs = tol * state.grid.stencil_scale
     delta, phi_flat = smallest_eigenpair(hess, tol=tol_abs)
-    phi = phi_flat.reshape(state.u.shape)
-    resid = hess.norm(hess(phi_flat) - delta * phi_flat)
-    return StabilityResult(delta=delta, eigenfield=phi, lambda_used=lam,
-                           residual=resid)
+    return StabilityResult(delta=delta,
+                           eigenfield=phi_flat.reshape(state.u.shape),
+                           lambda_used=lam)
 
 
 def is_stable(state: State, tol: float = 1e-10) -> bool:

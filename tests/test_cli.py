@@ -128,6 +128,20 @@ def test_fold_honours_tol(capsys):
         assert strict[1] <= 1e-12 * scale < loose[1] <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("fold", "seed", "3"), ("continue", "seed", "3"), ("bench", "seed", "3"),
+    ("continue", "tol", "1e-6"), ("bench", "tol", "1e-6"),
+    ("check", "tol", "1e-6"),
+])
+def test_unused_seed_and_tol_rejected(tmp_path, command, key, value):
+    # each command accepts seed and tol only where it uses them
+    assert run([command, "--model", "abc", "--grid", "interval:7",
+                f"--{key}", value]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = abc\n{key} = {value}\n")
+    assert run([command, "--config", str(cfg)]) == EXIT_USAGE
+
+
 def test_unknown_flag_usage_error():
     assert run(["solve", "--frobnicate", "1"]) == EXIT_USAGE
     assert run(["definitely-not-a-command"]) == EXIT_USAGE

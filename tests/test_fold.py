@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from foldfinder import (NoFoldError, abc_model, build_grid, continue_branch,
-                        coupled_model, detect_fold, find_fold_direct,
-                        make_state, moore_spence_solve, zero_model, ModelSpec)
+from foldfinder import (ConvergenceError, NoFoldError, abc_model, build_grid,
+                        continue_branch, coupled_model, detect_fold,
+                        find_fold_direct, make_state, moore_spence_solve,
+                        zero_model, ModelSpec)
 
 LAM_STAR_1 = 8.0 * 1.6 ** 0.25 - 1.6 ** 1.25
 U_STAR_1 = np.sqrt(1.6)
@@ -32,6 +33,24 @@ def test_fold_certificate():
     fp = find_fold_direct(grid, _abc())
     assert abs(fp.delta) <= 1e-6 * grid.stencil_scale
     assert fp.eig_alignment >= 0.999
+
+
+def test_moore_spence_coupled_interval_31_reference():
+    # lambda* of the augmented Newton solve, recorded from the assembly that
+    # preceded its solve_bordered form
+    fp = find_fold_direct(build_grid("interval", 31), coupled_model(q=1.5))
+    assert fp.lam == pytest.approx(6.866926288841847, rel=1e-12)
+
+
+def test_moore_spence_singular_step_raises_convergence_error():
+    # one node, g = 0, u = 1, lambda = 8: H s = p C, so the augmented
+    # Jacobian is exactly singular and SuperLU meets a zero pivot
+    grid = build_grid("interval", 1)
+    spec = zero_model(q=1.5)
+    init = make_state(grid, spec, np.array([[1.0]]))
+    with pytest.raises(ConvergenceError) as info:
+        moore_spence_solve(grid, spec, init, np.array([[1.0]]), 8.0)
+    assert info.value.best[3] == 8.0
 
 
 def test_moore_spence_coupled_matches_scalar_reduction():

@@ -1,46 +1,22 @@
-"""Linear solvers, the bordered solver, and the principal eigenpair."""
+"""The bordered solver, the principal eigenpair, and the single factor path."""
+
+import ast
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import foldfinder
 from foldfinder import (LinearOperator, SingularBorderError, build_grid,
                         coupled_model, find_fold_direct, hessian_operator,
-                        smallest_eigenpair, solve_bordered, solve_counter,
-                        solve_spd)
+                        smallest_eigenpair, solve_bordered, solve_counter)
 
 
 def _laplacian_operator(n):
     g = build_grid("interval", n)
     return g, LinearOperator.from_matrix(g.laplacian, weight=g.node_weight)
-
-
-def test_solve_spd_one_node():
-    _, op = _laplacian_operator(1)
-    np.testing.assert_allclose(solve_spd(op, np.array([8.0])), [1.0])
-
-
-def test_solve_spd_identity():
-    op = LinearOperator.from_matrix(sp.identity(6, format="csr"))
-    b = np.arange(6, dtype=float)
-    np.testing.assert_allclose(solve_spd(op, b), b)
-
-
-def test_solve_spd_eigen_pair():
-    g, op = _laplacian_operator(3)
-    x = g.coords[:, 0]
-    mu = 32.0 * (1.0 - np.cos(np.pi / 4.0))
-    b = mu * np.sin(np.pi * x)
-    np.testing.assert_allclose(solve_spd(op, b), np.sin(np.pi * x),
-                               rtol=1e-10)
-
-
-def test_solve_spd_round_trip():
-    g, op = _laplacian_operator(31)
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal(31)
-    x = solve_spd(op, b)
-    np.testing.assert_allclose(op(x), b, atol=1e-9 * np.abs(b).max())
 
 
 def test_bordered_two_by_two():
@@ -152,3 +128,29 @@ def test_smallest_eigenpair_near_degenerate_fold_state():
     delta, _ = smallest_eigenpair(hess, tol=tol)
     expect = np.linalg.eigvalsh(hess.matrix.toarray())[0]
     assert delta == pytest.approx(expect, abs=tol)
+
+
+def _reaches_splu(tree: ast.AST) -> bool:
+    """True if the module imports from scipy.sparse.linalg or names splu."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module == "scipy.sparse.linalg":
+            return True
+        if isinstance(node, ast.Import) and any(
+                a.name == "scipy.sparse.linalg" for a in node.names):
+            return True
+        if isinstance(node, ast.Name) and node.id == "splu":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "splu":
+            return True
+    return False
+
+
+def test_only_linalg_reaches_splu():
+    # every factorization goes through linalg, so every solve is counted
+    pkg = Path(foldfinder.__file__).parent
+    modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
+    assert "linalg" in modules and "nehari" in modules
+    binders = [name for name in modules
+               if _reaches_splu(ast.parse((pkg / f"{name}.py").read_text()))]
+    assert binders == ["linalg"]

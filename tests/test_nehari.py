@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from foldfinder import (FiberEmptyError, abc_model, build_grid, fiber,
                         is_stable, make_state, newton_solve, phi,
-                        project_nehari, rayleigh_nl, solve_nehari,
-                        solve_nehari_multistart, solve_sublinear,
+                        project_nehari, rayleigh_nl, solve_counter,
+                        solve_nehari, solve_nehari_multistart, solve_sublinear,
                         sublinear_state, zero_model)
 
 
@@ -46,6 +47,30 @@ def test_sublinear_one_node_values():
                                atol=1e-12)
     np.testing.assert_allclose(solve_sublinear(grid, 1.5, 2.0), [0.0625],
                                atol=1e-12)
+
+
+def test_sublinear_closed_forms_count_every_solve(monkeypatch):
+    # count the triangular solves of every SuperLU factor made anywhere; the
+    # package counter must see each of them
+    calls = []
+    real_splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            calls.append(1)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(spla, "splu", lambda a: Factor(real_splu(a)))
+    grid = build_grid("interval", 1)
+    for lam, expect in ((8.0, 1.0), (2.0, 0.0625)):
+        calls.clear()
+        solve_counter.reset()
+        np.testing.assert_allclose(solve_sublinear(grid, 1.5, lam), [expect],
+                                   atol=1e-12)
+        assert solve_counter.value == len(calls) > 0
 
 
 def test_sublinear_scaling_law():
