@@ -238,31 +238,34 @@ def cmd_solve(cfg: RunConfig) -> int:
     lam = float(cfg.require("lambda"))
     if lam <= 0:
         raise UsageError("lambda must be positive")
+    init_path = cfg.get("init")
+    # one solve from the given state: nothing to restart or to seed
+    for key in ("restarts", "seed"):
+        if init_path and key in cfg.values:
+            raise UsageError(f"option '{key}' does not apply with 'init'")
     bound = upper_bound_lambda(spec, grid)
     if lam > bound:
         print(f"lambda={_fmt(lam)} exceeds the solvability bound "
               f"{_fmt(bound)}: no positive solutions exist")
         return EXIT_NO_CONVERGENCE
-    restarts = int(cfg.get("restarts", 8))
-    seed = int(cfg.get("seed", 0))
     tol = float(cfg.get("tol", 1e-11))
-    init = None
-    if cfg.get("init"):
-        init = read_solution_csv(cfg.get("init"), grid, spec)
     try:
-        if init is not None:
+        if init_path:
+            source = f"from the init state {init_path}"
+            init = read_solution_csv(init_path, grid, spec)
             winner = solve_nehari(grid, spec, lam, init=init, tol=tol)
             winner = winner if winner.converged else None
         else:
-            winner, _ = solve_nehari_multistart(grid, spec, lam,
-                                                restarts=restarts, seed=seed,
-                                                tol=tol)
+            restarts = int(cfg.get("restarts", 8))
+            source = f"after {restarts} restarts"
+            winner, _ = solve_nehari_multistart(
+                grid, spec, lam, restarts=restarts,
+                seed=int(cfg.get("seed", 0)), tol=tol)
     except FiberEmptyError as exc:
         print(f"no admissible states at lambda={_fmt(lam)}: {exc}")
         return EXIT_NO_CONVERGENCE
     if winner is None:
-        print(f"no converged stable solution at lambda={_fmt(lam)} "
-              f"after {restarts} restarts")
+        print(f"no converged stable solution at lambda={_fmt(lam)} {source}")
         return EXIT_NO_CONVERGENCE
     write_solution_csv(cfg.get("output"), grid, winner.state.u)
     print(f"lambda={_fmt(lam)} phi={_fmt(winner.energy)} "

@@ -10,6 +10,7 @@ anything else.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,14 +104,65 @@ def _block_diags(blocks: np.ndarray) -> sp.csr_matrix:
                     format="csr")
 
 
+# keyed by grid and dropped with it, so no index array outlives its grid
+_PATTERNS = weakref.WeakKeyDictionary()
+
+
+def _positions(pat: sp.csr_matrix, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Offsets into ``pat.data`` of the stored entries (rows, cols)."""
+    dim = pat.shape[1]
+    # rows ascend and columns are sorted within each row, so keys are sorted
+    keys = (np.repeat(np.arange(pat.shape[0], dtype=np.int64),
+                      np.diff(pat.indptr)) * dim + pat.indices)
+    return np.searchsorted(keys, rows * dim + cols)
+
+
+def _hessian_pattern(grid: Grid, m: int) -> tuple:
+    """(indices, indptr, lap_pos, block_pos) of the (mN, mN) Hessian.
+
+    The pattern is the one ``sp.kron(sp.eye(m), L) + _block_diags(...)``
+    gives: m copies of the Laplacian's plus the diagonal of every (i, j)
+    block, with sorted indices.  ``lap_pos`` places the Laplacian data in
+    each copy and ``block_pos`` (m, m, N) places the local blocks.  For
+    m = 1 the pattern is the Laplacian's own index arrays.
+    """
+    by_m = _PATTERNS.setdefault(grid, {})
+    if m not in by_m:
+        lap, nn = grid.laplacian, grid.n_nodes
+        offset = np.arange(m, dtype=np.int64)[:, None] * nn
+        if m == 1:
+            pat, lap_pos = lap, slice(None)
+        else:
+            # |L| keeps each diagonal sum from cancelling to an unstored 0
+            pat = (sp.kron(sp.eye(m), abs(lap))
+                   + sp.kron(np.ones((m, m)), sp.eye(nn))).tocsr()
+            coo = lap.tocoo()
+            lap_pos = _positions(pat, offset + coo.row, offset + coo.col)
+        node = np.arange(nn)
+        block_pos = _positions(pat, offset[:, None] + node,
+                               offset[None, :] + node)
+        by_m[m] = (pat.indices, pat.indptr, lap_pos, block_pos)
+    return by_m[m]
+
+
 def hessian_operator(state: State, lam: float) -> LinearOperator:
-    """Linearization H phi = -Delta_h phi - G_uu(u) phi - lam (q-1) u^(q-2) phi."""
+    """Linearization H phi = -Delta_h phi - G_uu(u) phi - lam (q-1) u^(q-2) phi.
+
+    Fills a fresh data array into the grid's fixed pattern; only the index
+    arrays are shared between Hessians on one grid.
+    """
     require_cone_interior(state)
     g, u, q, m = state.grid, state.u, state.spec.q, state.spec.m
     blocks = -eval_g_jacobian(state.spec, u)  # (m, m, N)
     blocks[range(m), range(m)] -= lam * (q - 1.0) * u ** (q - 2.0)
-    mat = sp.kron(sp.eye(m), g.laplacian) + _block_diags(blocks)
-    return LinearOperator.from_matrix(mat.tocsr(), weight=g.node_weight)
+    indices, indptr, lap_pos, block_pos = _hessian_pattern(g, m)
+    data = np.zeros(indices.shape[0])
+    data[lap_pos] = g.laplacian.data
+    data[block_pos] += blocks
+    mat = sp.csr_matrix((data, indices, indptr),
+                        shape=(m * g.n_nodes, m * g.n_nodes))
+    return LinearOperator.from_matrix(mat, weight=g.node_weight)
 
 
 def _sigma_denominator(state: State, v: np.ndarray) -> float:

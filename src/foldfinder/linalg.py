@@ -3,10 +3,14 @@
 This is the only module that factors a matrix, and ``_factorized`` is its
 only SuperLU binding: every triangular solve in the package goes through a
 factor it returns, and is counted in ``solve_counter``.  ``solve_bordered``
-factors the assembled bordered matrix, ``smallest_eigenpair`` factors
-H - sigma I once and hands it to ARPACK as the shift-invert operator, and
-the Newton and fixed-point loops elsewhere factor their own matrices
-through ``_factorized``.
+factors the assembled bordered matrix, and the Newton and fixed-point loops
+elsewhere factor their own matrices through ``_factorized``.
+
+``smallest_eigenpair`` picks its path from the matrix pattern.  A
+tridiagonal matrix (a scalar model on an interval grid) goes to LAPACK's
+tridiagonal eigensolver, which factors nothing and so adds no counted
+solve.  Every other matrix (rectangles, m >= 2) is factored once as
+H - sigma I and handed to ARPACK as the shift-invert operator.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, SingularBorderError
 
@@ -114,24 +119,30 @@ def solve_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
 def smallest_eigenpair(op: LinearOperator, tol: float) -> tuple[float, np.ndarray]:
     """Principal (smallest) eigenpair of a symmetric operator.
 
-    Shift-invert Lanczos (ARPACK; Lehoucq, Sorensen and Yang 1998): H - sigma I
-    is factored once, with sigma below the Gershgorin lower bound of the
+    A matrix whose stored entries all lie within one place of the diagonal
+    (every 1-D scalar grid, and n = 1) is tridiagonal: the pair comes from
+    LAPACK bisection and inverse iteration (``stebz``/``stein``, via
+    ``eigh_tridiagonal``), with no factorization.  Any other matrix gets
+    shift-invert Lanczos (ARPACK; Lehoucq, Sorensen and Yang 1998): H - sigma I
+    is factored once, with sigma just below the Gershgorin lower bound of the
     spectrum, so the smallest eigenvalue of H is the largest of the inverse.
-    The start vector is fixed, so reruns are identical.  Raises
+    The start vector is fixed, so reruns are identical.  Either way delta is
+    the Rayleigh quotient of the unit eigenvector.  Raises
     ``ConvergenceError`` unless ||H x - delta x|| <= tol.  Returns
     (delta, phi) with phi normalized to quadrature norm one and its
     largest-magnitude entry positive.
     """
     n = op.dim
     mat = op.matrix
-    if n == 1:
-        x = np.ones(1)
-        delta = float(mat[0, 0])
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    if np.all(np.abs(mat.indices - rows) <= 1):
+        _, vecs = eigh_tridiagonal(mat.diagonal(), mat.diagonal(1),
+                                   select="i", select_range=(0, 0))
     else:
         diag = mat.diagonal()
         row_abs = np.ravel(abs(mat).sum(axis=1))
         lower = float((diag - (row_abs - np.abs(diag))).min())
-        sigma = lower - 1e-2 * max(op.scale(), 1.0)
+        sigma = lower - 1e-4 * max(op.scale(), 1.0)
         solve = _factorized(mat - sigma * sp.eye(n))
         shift_invert = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         v0 = np.random.default_rng(12345).standard_normal(n)
@@ -141,8 +152,8 @@ def smallest_eigenpair(op: LinearOperator, tol: float) -> tuple[float, np.ndarra
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError("shift-invert Lanczos did not converge",
                                    best=(exc.eigenvalues, exc.eigenvectors))
-        x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        delta = float(x @ (mat @ x))
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    delta = float(x @ (mat @ x))
     resid = float(np.linalg.norm(mat @ x - delta * x))
     if resid > tol:
         raise ConvergenceError("eigenpair residual above tolerance",

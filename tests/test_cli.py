@@ -195,6 +195,40 @@ def test_deterministic_rerun_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _solution_csv(tmp_path):
+    out = tmp_path / "sol.csv"
+    assert run(["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
+                "--grid", "interval:7", "--lambda", "2.0",
+                "-o", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("key, value", [("restarts", "3"), ("seed", "3")])
+def test_solve_init_rejects_restarts_and_seed(tmp_path, key, value):
+    # --init runs one solve from the given state: nothing restarts or seeds
+    init = _solution_csv(tmp_path)
+    args = ["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
+            "--grid", "interval:7", "--lambda", "2.0", "--init", str(init)]
+    assert run(args) == EXIT_OK
+    assert run(args + [f"--{key}", value]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run(args + ["--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_solve_init_failure_names_the_init_state(tmp_path, capsys):
+    # no tolerance below rounding is reachable, so the one solve fails
+    init = _solution_csv(tmp_path)
+    capsys.readouterr()
+    assert run(["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
+                "--grid", "interval:7", "--lambda", "2.0",
+                "--init", str(init), "--tol", "1e-300"]) \
+        == EXIT_NO_CONVERGENCE
+    out = capsys.readouterr().out
+    assert f"from the init state {init}" in out
+    assert "restarts" not in out
+
+
 def test_solution_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     args = ["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",

@@ -237,3 +237,18 @@ def test_hessian_matches_block_assembly():
             ref = _hessian_reference(state, 1.7)
             mat = hessian_operator(state, 1.7).matrix.toarray()
             assert np.abs(mat - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_hessians_on_one_grid_do_not_share_data(coupled):
+    # the pattern is shared per grid; the data of every Hessian is its own
+    grid, spec, state = _random_state(5, coupled=coupled)
+    lap = grid.laplacian.toarray()
+    first = hessian_operator(state, 1.7).matrix
+    second = hessian_operator(state.with_u(2.0 * state.u), 0.3).matrix
+    before = second.toarray()
+    first.data[:] = np.nan
+    np.testing.assert_array_equal(second.toarray(), before)
+    np.testing.assert_array_equal(grid.laplacian.toarray(), lap)
+    third = hessian_operator(state, 1.7).matrix
+    assert np.all(np.isfinite(third.data))

@@ -9,9 +9,10 @@ import pytest
 import scipy.sparse as sp
 
 import foldfinder
-from foldfinder import (LinearOperator, SingularBorderError, build_grid,
-                        coupled_model, find_fold_direct, hessian_operator,
-                        smallest_eigenpair, solve_bordered, solve_counter)
+from foldfinder import (LinearOperator, SingularBorderError, abc_model,
+                        build_grid, coupled_model, find_fold_direct,
+                        hessian_operator, make_state, smallest_eigenpair,
+                        solve_bordered, solve_counter)
 
 
 def _laplacian_operator(n):
@@ -99,12 +100,54 @@ def test_smallest_eigenpair_diagonal():
 
 
 def test_smallest_eigenpair_counts_every_solve():
-    # the Lanczos iteration applies the shift-invert factor many times; each
-    # application is one counted triangular solve
-    g, op = _laplacian_operator(15)
+    # on a rectangle the Lanczos iteration applies the shift-invert factor
+    # many times; each application is one counted triangular solve
+    g = build_grid("rectangle", 7)
+    op = LinearOperator.from_matrix(g.laplacian, weight=g.node_weight)
     solve_counter.reset()
     smallest_eigenpair(op, tol=1e-10 * g.stencil_scale)
     assert solve_counter.value > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, "abc-fold"])
+def test_tridiagonal_path_matches_dense_without_solves(n):
+    # 1-D scalar Hessians are tridiagonal: LAPACK's tridiagonal solver
+    # factors nothing, so no solve is counted
+    if n == "abc-fold":
+        # the fold state, where delta is near zero
+        grid = build_grid("interval", 63)
+        fp = find_fold_direct(grid, abc_model(q=1.5, gamma=4.0))
+        state, lam = fp.state, fp.lam
+    else:
+        grid = build_grid("interval", n)
+        rng = np.random.default_rng(n)
+        state = make_state(grid, abc_model(q=1.5, gamma=4.0),
+                           0.5 + rng.random(grid.n_nodes))
+        lam = 2.0
+    hess = hessian_operator(state, lam)
+    tol = 1e-10 * grid.stencil_scale
+    solve_counter.reset()
+    delta, phi = smallest_eigenpair(hess, tol=tol)
+    assert solve_counter.value == 0
+    assert delta == pytest.approx(
+        np.linalg.eigvalsh(hess.matrix.toarray())[0], abs=tol)
+    assert np.sqrt(grid.node_weight) * np.linalg.norm(phi) \
+        == pytest.approx(1.0, rel=1e-12)
+    assert phi[np.argmax(np.abs(phi))] > 0
+
+
+def test_shift_invert_path_matches_dense_on_rectangle():
+    grid = build_grid("rectangle", 15)
+    rng = np.random.default_rng(15)
+    state = make_state(grid, abc_model(q=1.5, gamma=4.0),
+                       0.5 + rng.random(grid.n_nodes))
+    hess = hessian_operator(state, 2.0)
+    tol = 1e-10 * grid.stencil_scale
+    solve_counter.reset()
+    delta, _ = smallest_eigenpair(hess, tol=tol)
+    assert solve_counter.value > 1
+    assert delta == pytest.approx(
+        np.linalg.eigvalsh(hess.matrix.toarray())[0], abs=tol)
 
 
 def test_eigenvalue_is_lower_bound_of_rayleigh_quotients():
