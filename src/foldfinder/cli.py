@@ -405,7 +405,8 @@ def cmd_check(cfg: RunConfig) -> int:
     hv = [hessian_operator(make_state(grid, spec, u + s * eps * xi), lam)(v.ravel())
           for s in (1.0, -1.0)]
     fd_t = ((hv[0] - hv[1]) / (2 * eps)).reshape(xi.shape)
-    exact_t = (_third_derivative_blocks(state, lam, v) @ xi.ravel()).reshape(xi.shape)
+    exact_t = np.einsum("ijn,jn->in",
+                        _third_derivative_blocks(state, lam, v), xi)
     rel_t = norm(grid, fd_t - exact_t) / max(norm(grid, exact_t), 1e-30)
     print(f"third_derivative_fd_error={_fmt(rel_t)}")
     ok &= rel_t <= 1e-6

@@ -89,21 +89,6 @@ def phi_grad(state: State, lam: float) -> np.ndarray:
     return apply_laplacian(g, u) - lam * u ** (q - 1.0) - eval_g(state.spec, u)
 
 
-def _block_diags(blocks: np.ndarray) -> sp.csr_matrix:
-    """Sparse (mN, mN) matrix whose (i, j) block is diag(blocks[i, j]).
-
-    ``blocks`` has shape (m, m, N); block offset k = j - i is the matrix
-    diagonal at offset k N, so one ``sp.diags`` call builds every block.
-    """
-    m, _, n = blocks.shape
-    offsets = range(1 - m, m)
-    diagonals = [np.concatenate([blocks[i, i + k]
-                                 for i in range(max(0, -k), min(m, m - k))])
-                 for k in offsets]
-    return sp.diags(diagonals, [k * n for k in offsets], shape=(m * n, m * n),
-                    format="csr")
-
-
 # keyed by grid and dropped with it, so no index array outlives its grid
 _PATTERNS = weakref.WeakKeyDictionary()
 
@@ -121,11 +106,10 @@ def _positions(pat: sp.csr_matrix, rows: np.ndarray,
 def _hessian_pattern(grid: Grid, m: int) -> tuple:
     """(indices, indptr, lap_pos, block_pos) of the (mN, mN) Hessian.
 
-    The pattern is the one ``sp.kron(sp.eye(m), L) + _block_diags(...)``
-    gives: m copies of the Laplacian's plus the diagonal of every (i, j)
-    block, with sorted indices.  ``lap_pos`` places the Laplacian data in
-    each copy and ``block_pos`` (m, m, N) places the local blocks.  For
-    m = 1 the pattern is the Laplacian's own index arrays.
+    The pattern is m copies of the Laplacian's plus the diagonal of every
+    (i, j) node block, with sorted indices.  ``lap_pos`` places the
+    Laplacian data in each copy and ``block_pos`` (m, m, N) places the local
+    blocks.  For m = 1 the pattern is the Laplacian's own index arrays.
     """
     by_m = _PATTERNS.setdefault(grid, {})
     if m not in by_m:

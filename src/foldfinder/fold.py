@@ -1,15 +1,15 @@
 """Fold certification and refinement: augmented Newton plus continuation.
 
-The augmented system {residual = 0, Hessian * v = 0, <v, v> = 1} is solved
-by damped Newton; the directional third-derivative blocks in its Jacobian
-are exact, read from the model's monomial kernel.  Each Newton step is one
-``solve_bordered`` call: the block operator [[H, 0], [C, H]] bordered by the
-lambda column and the normalization row.  That bordered matrix is factored
-whole, because block elimination through the (near) singular Hessian pivot
-amplifies roundoff along the null direction, while the augmented matrix
-itself is regular at a fold.  Continuation uses natural stepping with a
-secant predictor and switches to pseudo-arclength (bordered) correction
-when the corrector degrades near the turning point.
+A fold is refined by damped Newton on the minimally augmented system
+{F(u, lam) = 0, g(u, lam) = 0} (Griewank and Reddien 1984; Govaerts 2000,
+ch. 4), where the test function g and the null vector v come from one
+bordered solve [[H, b], [b', 0]] (v, g) = (0, 1) with a fixed border b.
+The system is regular at a simple fold, and each Newton step is one more
+``solve_bordered`` call, factored whole: block elimination through the
+(near) singular Hessian pivot would amplify roundoff along the null
+direction.  Continuation uses natural stepping with a secant predictor
+and switches to pseudo-arclength (bordered) correction when the corrector
+degrades near the turning point.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (ConeError, ConvergenceError, NoFoldError,
                      SingularBorderError)
-from .energy import (State, _block_diags, hessian_operator, make_state, phi,
-                     phi_grad)
-from .linalg import LinearOperator, smallest_eigenpair, solve_bordered
+from .energy import State, hessian_operator, make_state, phi, phi_grad
+from .linalg import smallest_eigenpair, solve_bordered
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_nehari, sublinear_state, _clip_cone
@@ -56,7 +54,6 @@ class BranchRecord:
 class Branch:
     records: list[BranchRecord] = field(default_factory=list)
     states: list[State] = field(default_factory=list)
-    direction: float = 1.0
     fold_bracketed: bool = False
 
 
@@ -73,129 +70,141 @@ class FoldDetection:
 
 
 def _third_derivative_blocks(state: State, lam: float,
-                             v: np.ndarray) -> sp.csr_matrix:
+                             v: np.ndarray) -> np.ndarray:
     """Exact d/du [H(u) v], the state derivative of the Hessian applied to v.
 
     The non-Laplacian part of the Hessian is local, so its derivative is
-    block-diagonal over nodes: block (i, j) is
-    -sum_k G_ijk v_k - [i = j] lam (q-1)(q-2) u_i^(q-3) v_i.
+    block-diagonal over nodes.  Returns the (m, m, N) array whose entry
+    (i, j, n) is -sum_k G_ijk v_k - [i = j] lam (q-1)(q-2) u_i^(q-3) v_i at
+    node n; the derivative along xi is ``einsum("ijn,jn->in", blocks, xi)``.
     """
     u, spec = state.u, state.spec
     q, m = spec.q, spec.m
     g3 = _term_partials(spec, u, 3).sum(axis=0)             # (m, m, m, N)
     blocks = -np.einsum("ijkn,kn->ijn", g3, v)
     blocks[range(m), range(m)] -= lam * (q - 1.0) * (q - 2.0) * u ** (q - 3.0) * v
-    return _block_diags(blocks)
+    return blocks
+
+
+def _test_function_gradient(state: State, lam: float,
+                            v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(g_u, g_lam) at (u, lam), given the null vector v of g's bordered solve.
+
+    H is symmetric, so v is also the left null vector and dg = -v' dH v.
+    """
+    q = state.spec.q
+    g_u = -np.einsum("ijn,in->jn", _third_derivative_blocks(state, lam, v), v)
+    g_lam = (q - 1.0) * float(np.sum(state.u ** (q - 2.0) * v ** 2))
+    return g_u, g_lam
 
 
 def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                        init_v: np.ndarray, init_lam: float,
                        tol: float = 1e-12, max_iters: int = 50) -> FoldPoint:
-    """Damped Newton on the augmented fold system from the given initializer.
+    """Damped Newton on the minimally augmented fold system {F = 0, g = 0}.
 
+    The name is that of the Moore-Spence system {F = 0, H v = 0, <v, v> = 1}
+    it used to solve; it stays because it is public and gives the same fold
+    point.  The border b is ``init_v``, Euclidean-normalized and fixed.
     ``tol`` is relative to the stencil scale; converged points satisfy all
-    three residual bounds and carry the eigen-certificate.
+    three residual bounds (v at quadrature norm one) and carry the
+    eigen-certificate.
     """
     m, n = spec.m, grid.n_nodes
     scale = grid.stencil_scale
     tol_abs = tol * scale
     w = grid.node_weight
 
-    u = _clip_cone(init_u.u.copy())
-    v = np.asarray(init_v, dtype=float).reshape(m, n).copy()
-    vn = norm(grid, v)
-    if vn == 0.0:
+    b = np.asarray(init_v, dtype=float).ravel()
+    bn = float(np.linalg.norm(b))
+    if bn == 0.0:
         raise ValueError("init null direction must be nonzero")
-    v /= vn
+    b = b / bn
     lam = float(init_lam)
 
-    def residual(u, v, lam):
+    def residual(u, lam):
         state = make_state(grid, spec, u)
         hess = hessian_operator(state, lam)
-        f1 = phi_grad(state, lam)
-        f2 = hess(v.ravel()).reshape(m, n)
-        f3 = w * float(v.ravel() @ v.ravel()) - 1.0
-        return state, hess, f1, f2, f3
+        f = phi_grad(state, lam)
+        v, g = solve_bordered(hess, b, b, 0.0, np.zeros(m * n), 1.0)
+        return state, hess, f, v.reshape(m, n), g
 
-    def merit(f1, f2, f3):
-        return norm(grid, f1) ** 2 + norm(grid, f2) ** 2 + f3 ** 2
+    def merit(f, g):
+        return norm(grid, f) ** 2 + g ** 2
 
-    state, hess, f1, f2, f3 = residual(u, v, lam)
-    theta = merit(f1, f2, f3)
-    best = (math.sqrt(theta), state, v.copy(), lam)
-    history = [math.sqrt(theta)]
+    it, best = 0, None
+    try:
+        state, hess, f, v, g = residual(_clip_cone(init_u.u.copy()), lam)
+        theta = merit(f, g)
+        best = (math.sqrt(theta), state, v.copy(), lam)
+        history = [math.sqrt(theta)]
 
-    for it in range(1, max_iters + 1):
-        if (norm(grid, f1) <= tol_abs and norm(grid, f2) <= tol_abs
-                and abs(f3) <= tol_abs):
-            break
-        h_mat = hess.matrix
-        block = LinearOperator.from_matrix(sp.bmat(
-            [[h_mat, None], [_third_derivative_blocks(state, lam, v), h_mat]]))
-        q = spec.q
-        col = -np.concatenate([(state.u ** (q - 1.0)).ravel(),
-                               ((q - 1.0) * state.u ** (q - 2.0) * v).ravel()])
-        row = np.concatenate([np.zeros(m * n), 2.0 * w * v.ravel()])
-        rhs = -np.concatenate([f1.ravel(), f2.ravel()])
-        try:
-            step, dlam = solve_bordered(block, col, row, 0.0, rhs, -f3)
-        except SingularBorderError as exc:
-            raise ConvergenceError(f"augmented Newton step failed: {exc}",
-                                   residual=math.sqrt(theta), iterations=it,
-                                   best=best) from exc
-        du = step[:m * n].reshape(m, n)
-        dv = step[m * n:].reshape(m, n)
-
-        alpha, accepted = 1.0, False
-        for _ in range(25):
-            u_try = state.u + alpha * du
-            if np.any(u_try <= 0):
-                u_try = _clip_cone(u_try)
-            try:
-                out = residual(u_try, v + alpha * dv, lam + alpha * dlam)
-            except (ConeError, FloatingPointError):
-                alpha *= 0.5
-                continue
-            theta_try = merit(out[2], out[3], out[4])
-            if theta_try <= (1.0 - 1e-4 * alpha) * theta or theta_try < tol_abs**2:
-                state, hess, f1, f2, f3 = out
-                v = v + alpha * dv
-                lam = lam + alpha * dlam
-                theta = theta_try
-                accepted = True
+        for it in range(1, max_iters + 1):
+            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs:
                 break
-            alpha *= 0.5
-        if not accepted:
-            raise ConvergenceError("augmented Newton stalled",
-                                   residual=math.sqrt(theta), iterations=it,
-                                   best=best)
-        history.append(math.sqrt(theta))
-        if math.sqrt(theta) < best[0]:
-            best = (math.sqrt(theta), state, v.copy(), lam)
-        if len(history) > 5 and history[-1] > 0.5 * history[-6] \
-                and history[-1] > tol_abs:
-            raise ConvergenceError(
-                "augmented Newton diverged (residual not halved over 5 steps)",
-                residual=history[-1], iterations=it, best=best)
-    else:
-        raise ConvergenceError("augmented Newton hit its iteration cap",
-                               residual=math.sqrt(theta), iterations=max_iters,
-                               best=best)
+            g_u, g_lam = _test_function_gradient(state, lam, v)
+            du, dlam = solve_bordered(hess, -state.u ** (spec.q - 1.0),
+                                      g_u, g_lam, -f, -g)
+            du = du.reshape(m, n)
 
-    # sign normalization and eigen-certificate
+            alpha, accepted = 1.0, False
+            for _ in range(25):
+                u_try = state.u + alpha * du
+                if np.any(u_try <= 0):
+                    u_try = _clip_cone(u_try)
+                try:
+                    out = residual(u_try, lam + alpha * dlam)
+                except (ConeError, FloatingPointError):
+                    alpha *= 0.5
+                    continue
+                theta_try = merit(out[2], out[4])
+                if theta_try <= (1.0 - 1e-4 * alpha) * theta \
+                        or theta_try < tol_abs**2:
+                    state, hess, f, v, g = out
+                    lam = lam + alpha * dlam
+                    theta = theta_try
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                raise ConvergenceError("augmented Newton stalled",
+                                       residual=math.sqrt(theta),
+                                       iterations=it, best=best)
+            history.append(math.sqrt(theta))
+            if math.sqrt(theta) < best[0]:
+                best = (math.sqrt(theta), state, v.copy(), lam)
+            if len(history) > 5 and history[-1] > 0.5 * history[-6] \
+                    and history[-1] > tol_abs:
+                raise ConvergenceError(
+                    "augmented Newton diverged "
+                    "(residual not halved over 5 steps)",
+                    residual=history[-1], iterations=it, best=best)
+        else:
+            raise ConvergenceError("augmented Newton hit its iteration cap",
+                                   residual=math.sqrt(theta),
+                                   iterations=max_iters, best=best)
+    except SingularBorderError as exc:
+        raise ConvergenceError(f"augmented Newton step failed: {exc}",
+                               residual=None if best is None else best[0],
+                               iterations=it, best=best) from exc
+
+    # quadrature normalization, sign rule and eigen-certificate
+    v = v / norm(grid, v)
     flat = v.ravel()
     k = int(np.argmax(np.abs(flat)))
     if flat[k] < 0:
         v = -v
     delta, phi_eig = smallest_eigenpair(hess, tol=1e-10 * scale)
     align = abs(w * float(phi_eig @ v.ravel()))
+    hv = norm(grid, hess(v.ravel()).reshape(m, n))
+    vv = w * float(v.ravel() @ v.ravel())
     return FoldPoint(state=state, v=v, lam=lam, delta=delta,
-                     residuals=(norm(grid, f1), norm(grid, f2), abs(f3)),
+                     residuals=(norm(grid, f), hv, abs(vv - 1.0)),
                      newton_iterations=it, eig_alignment=align)
 
 
 def fold_from_candidate(cand: CwCandidate, tol: float = 1e-12) -> FoldPoint:
-    """Moore-Spence refinement seeded by an ascent candidate."""
+    """Augmented-Newton refinement seeded by an ascent candidate."""
     state = cand.state
     stab = stability_index(state)
     return moore_spence_solve(state.grid, state.spec, state, stab.eigenfield,

@@ -78,8 +78,10 @@ class Grid:
         if self.ndim == 1:
             return blocks[0].tocsr()
         nx, ny = self.n_interior
-        lap = sp.kron(sp.eye(ny), blocks[0]) + sp.kron(blocks[1], sp.eye(nx))
-        return lap.tocsr()
+        # format="csr" keeps sp.kron off its BSR path, which stores the
+        # zeros of dense-looking small blocks (nx <= 5) explicitly
+        return (sp.kron(sp.eye(ny), blocks[0], format="csr")
+                + sp.kron(blocks[1], sp.eye(nx), format="csr"))
 
 
 def build_grid(kind: str, n_interior, extents=None) -> Grid:

@@ -146,8 +146,43 @@ def test_third_derivative_blocks_finite_difference(spec):
     grid, lam, eps = build_grid("interval", 7), 2.0, 1e-5
     u = 0.5 + rng.random((spec.m, 7))
     v, xi = rng.standard_normal((2, spec.m, 7))
-    exact = _third_derivative_blocks(make_state(grid, spec, u), lam, v) @ xi.ravel()
+    blocks = _third_derivative_blocks(make_state(grid, spec, u), lam, v)
+    assert blocks.shape == (spec.m, spec.m, 7)
+    exact = np.einsum("ijn,jn->in", blocks, xi).ravel()
     hv = [hessian_operator(make_state(grid, spec, u + s * eps * xi), lam)(v.ravel())
           for s in (1.0, -1.0)]
     fd = (hv[0] - hv[1]) / (2 * eps)
     assert np.linalg.norm(fd - exact) <= 1e-7 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("spec", [abc_model(q=1.5, gamma=4.0),
+                                  coupled_model(q=1.5)], ids=["m1", "m2"])
+@pytest.mark.parametrize("grid", [build_grid("interval", 7),
+                                  build_grid("rectangle", (3, 4))],
+                         ids=["interval", "rectangle"])
+def test_fold_test_function_gradient_finite_difference(spec, grid):
+    from foldfinder.energy import hessian_operator
+    from foldfinder.fold import _test_function_gradient
+    from foldfinder.linalg import solve_bordered
+
+    rng = np.random.default_rng(11)
+    shape, lam, eps = (spec.m, grid.n_nodes), 2.0, 1e-5
+    u = 0.5 + rng.random(shape)
+    xi = rng.standard_normal(shape)
+    b = rng.standard_normal(u.size)
+    b /= np.linalg.norm(b)
+
+    def test_function(u, lam):
+        hess = hessian_operator(make_state(grid, spec, u), lam)
+        v, g = solve_bordered(hess, b, b, 0.0, np.zeros(u.size), 1.0)
+        return v.reshape(shape), g
+
+    v, _ = test_function(u, lam)
+    g_u, g_lam = _test_function_gradient(make_state(grid, spec, u), lam, v)
+    fd_u = (test_function(u + eps * xi, lam)[1]
+            - test_function(u - eps * xi, lam)[1]) / (2 * eps)
+    fd_lam = (test_function(u, lam + eps)[1]
+              - test_function(u, lam - eps)[1]) / (2 * eps)
+    exact_u = float(np.sum(g_u * xi))
+    assert abs(fd_u - exact_u) <= 1e-7 * abs(exact_u)
+    assert abs(fd_lam - g_lam) <= 1e-7 * abs(g_lam)

@@ -189,11 +189,23 @@ def _reaches_splu(tree: ast.AST) -> bool:
     return False
 
 
+def _calls_bmat(tree: ast.AST) -> bool:
+    """True if the module calls bmat, bare or as an attribute."""
+    return any(isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "bmat")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "bmat"))
+        for node in ast.walk(tree))
+
+
 def test_only_linalg_reaches_splu():
-    # every factorization goes through linalg, so every solve is counted
+    # every factorization goes through linalg, so every solve is counted,
+    # and bordered matrices are assembled in solve_bordered alone
     pkg = Path(foldfinder.__file__).parent
     modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
     assert "linalg" in modules and "nehari" in modules
-    binders = [name for name in modules
-               if _reaches_splu(ast.parse((pkg / f"{name}.py").read_text()))]
+    trees = {name: ast.parse((pkg / f"{name}.py").read_text())
+             for name in modules}
+    binders = [name for name in modules if _reaches_splu(trees[name])]
     assert binders == ["linalg"]
+    assemblers = [name for name in modules if _calls_bmat(trees[name])]
+    assert assemblers == ["linalg"]

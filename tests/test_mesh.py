@@ -77,6 +77,20 @@ def test_m_matrix_sign_structure():
         assert np.all(off <= 0.0)
 
 
+@pytest.mark.parametrize("n", [(3, 7), (5, 5)], ids=["3x7", "5x5"])
+def test_rectangle_laplacian_stores_only_the_stencil(n):
+    # small x extents once sent sp.kron down a path that stored zeros
+    from foldfinder import abc_model, hessian_operator, make_state
+
+    nx, ny = n
+    g = build_grid("rectangle", n)
+    stencil = 5 * nx * ny - 2 * nx - 2 * ny
+    assert g.laplacian.nnz == stencil
+    assert np.all(g.laplacian.data != 0.0)
+    state = make_state(g, abc_model(q=1.5, gamma=4.0), np.ones((1, g.n_nodes)))
+    assert hessian_operator(state, 1.0).matrix.nnz == stencil
+
+
 def test_interval_eigenpairs_closed_form():
     g = build_grid("interval", 15)
     x = g.coords[:, 0]
