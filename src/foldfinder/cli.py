@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -105,12 +106,16 @@ def _coerce(key: str, value):
         return value
     try:
         if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
+            number = float(value)
+        elif key in _INT_KEYS:
+            number = int(value)
+        else:
+            return value
     except ValueError:
         raise UsageError(f"option '{key}' expects a number, got '{value}'")
-    return value
+    if not math.isfinite(number):
+        raise UsageError(f"option '{key}' must be finite, got '{value}'")
+    return number
 
 
 def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
@@ -125,6 +130,8 @@ def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
     for key in ("tol", "step"):
         if key in values and values[key] <= 0:
             raise UsageError(f"option '{key}' must be positive")
+    if values.get("max_records", 1) < 1:
+        raise UsageError("option 'max_records' must be at least 1")
     return RunConfig(command=command, values=values)
 
 
@@ -459,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("continue", help="trace the solution branch")
     _add_common(p)
     p.add_argument("--lambda-start", dest="lambda_start")
-    p.add_argument("--step", help="initial continuation step")
+    p.add_argument("--step", help="initial continuation step; later steps "
+                   "adapt to the corrector's iteration count")
     p.add_argument("--max-records", dest="max_records")
 
     p = subs.add_parser("bench", help="benchmark fold methods across grids")

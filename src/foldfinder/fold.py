@@ -7,9 +7,12 @@ bordered solve [[H, b], [b', 0]] (v, g) = (0, 1) with a fixed border b.
 The system is regular at a simple fold, and each Newton step is one more
 ``solve_bordered`` call, factored whole: block elimination through the
 (near) singular Hessian pivot would amplify roundoff along the null
-direction.  Continuation uses natural stepping with a secant predictor
-and switches to pseudo-arclength (bordered) correction when the corrector
-degrades near the turning point.
+direction.  Newton stops on the residuals and on the size of its last
+lambda step, so lambda* does not depend on where it started.
+Continuation uses natural stepping with a secant predictor and switches
+to pseudo-arclength (bordered) correction when the corrector degrades
+near the turning point; in both modes the step length adapts to the
+corrector's iteration count.
 """
 
 from __future__ import annotations
@@ -106,9 +109,13 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     The name is that of the Moore-Spence system {F = 0, H v = 0, <v, v> = 1}
     it used to solve; it stays because it is public and gives the same fold
     point.  The border b is ``init_v``, Euclidean-normalized and fixed.
-    ``tol`` is relative to the stencil scale; converged points satisfy all
-    three residual bounds (v at quadrature norm one) and carry the
-    eigen-certificate.
+    ``tol`` is relative to the stencil scale.  Newton stops once ||F|| and
+    |g| are at most ``tol`` times the stencil scale and the last accepted
+    lambda correction is at most 100 ``tol`` relative to max(|lambda|, 1):
+    the residuals alone stop wherever the last iterate happens to land,
+    which leaves lambda* depending on the starting point.  Converged points
+    satisfy all three residual bounds (v at quadrature norm one) and carry
+    the eigen-certificate.
     """
     m, n = spec.m, grid.n_nodes
     scale = grid.stencil_scale
@@ -138,9 +145,11 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
         theta = merit(f, g)
         best = (math.sqrt(theta), state, v.copy(), lam)
         history = [math.sqrt(theta)]
+        lam_step = math.inf
 
         for it in range(1, max_iters + 1):
-            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs:
+            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
+                    and abs(lam_step) <= 100.0 * tol * max(abs(lam), 1.0):
                 break
             g_u, g_lam = _test_function_gradient(state, lam, v)
             du, dlam = solve_bordered(hess, -state.u ** (spec.q - 1.0),
@@ -161,7 +170,8 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                 if theta_try <= (1.0 - 1e-4 * alpha) * theta \
                         or theta_try < tol_abs**2:
                     state, hess, f, v, g = out
-                    lam = lam + alpha * dlam
+                    lam_step = alpha * dlam
+                    lam = lam + lam_step
                     theta = theta_try
                     accepted = True
                     break
@@ -240,13 +250,31 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *, restarts: int = 3,
     return fold_from_candidate(best, tol=tol)
 
 
+def _step_factor(iters: int) -> float:
+    """Step-length factor from the iteration count of an accepted corrector.
+
+    A corrector that converges in a few iterations was given a step well
+    inside its contraction region, so the next step grows; about four is
+    the target, and slower convergence shrinks the step (Allgower and Georg
+    1990, ch. 6; Deuflhard 2004).
+    """
+    if iters <= 2:
+        return 2.0
+    if iters == 3:
+        return 1.5
+    return 1.0 if iters == 4 else 0.7
+
+
 def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                     step: float = 0.05, max_records: int = 200,
                     tol: float = 1e-11) -> Branch:
     """Trace the stable branch from lam_start until a fold is bracketed.
 
     Natural-parameter stepping with a secant predictor; switches to
-    pseudo-arclength correction when the Newton corrector degrades.  Each
+    pseudo-arclength correction when the Newton corrector degrades.  In
+    both modes ``step`` is the initial step: after each accepted corrector
+    the step is scaled by ``_step_factor`` of its iteration count (the
+    arclength step capped at 0.1), and a failed corrector halves it.  Each
     record carries the stability index; tracing stops once delta changes
     sign (fold bracketed) or max_records is reached.
     """
@@ -264,13 +292,12 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
         branch.states.append(state)
         return stab.delta
 
-    delta = record(rep.state, lam_start, rep.iterations)
+    record(rep.state, lam_start, rep.iterations)
     prev: tuple[State, float] | None = None
     cur = (rep.state, lam_start)
     mode = "natural"
     dl = step
     ds = step
-    successes = 0
 
     while len(branch.records) < max_records:
         if branch.records[-1].delta < 0:
@@ -291,7 +318,7 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
             if ok:
                 new_delta = record(st, lam_new, iters)
                 prev, cur = cur, (st, lam_new)
-                delta = new_delta
+                dl *= _step_factor(iters)
                 if not healthy or new_delta < 0.25 * branch.records[0].delta:
                     mode = "arclength"
                 continue
@@ -313,16 +340,11 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                                           cur[1] + ds * tlam, tu, tlam, tol)
         if ok:
             st, lam_new, iters = result
-            new_delta = record(st, lam_new, iters)
+            record(st, lam_new, iters)
             prev, cur = cur, (st, lam_new)
-            delta = new_delta
-            successes += 1
-            if successes >= 3:
-                ds = min(ds * 1.3, 0.1)
-                successes = 0
+            ds = min(ds * _step_factor(iters), 0.1)
         else:
             ds = ds * 0.5
-            successes = 0
             if ds < 1e-6:
                 break
     return branch

@@ -122,9 +122,9 @@ def _check_field(grid: Grid, f: np.ndarray) -> np.ndarray:
 def apply_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Apply -Delta_h to one or more components (last axis indexes nodes)."""
     f = _check_field(grid, f)
-    # the stencil matrix is symmetric, so row-wise application needs no
-    # transpose
-    return f @ grid.laplacian
+    # f @ L would go through scipy's __rmatmul__, which builds L' on every
+    # call; applying L to the columns of f' computes the same sums
+    return np.ascontiguousarray((grid.laplacian @ f.T).T)
 
 
 def inner_product(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> float:

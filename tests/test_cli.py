@@ -128,6 +128,34 @@ def test_fold_honours_tol(capsys):
         assert strict[1] <= 1e-12 * scale < loose[1] <= 1e-6 * scale
 
 
+def test_fold_continuation_on_rectangle_agrees_with_direct(capsys):
+    # a fixed 0.05 step ran out of records before this fold
+    args = ["fold", "--model", "abc", "--q", "1.5", "--gamma", "4",
+            "--grid", "rectangle:15", "--method"]
+    lam = {}
+    for method in ("direct", "continuation"):
+        assert run(args + [method]) == EXIT_OK
+        out = capsys.readouterr().out
+        lam[method] = float(out.split("lambda_star=")[1].split()[0])
+    assert lam["continuation"] == pytest.approx(lam["direct"], rel=1e-8)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fold", "q", "nan"), ("fold", "gamma", "inf"), ("fold", "tol", "nan"),
+    ("solve", "lambda", "nan"), ("continue", "lambda_start", "nan"),
+    ("continue", "lambda_start", "inf"), ("continue", "step", "inf"),
+    ("continue", "step", "nan"), ("continue", "max_records", "0"),
+])
+def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
+                                                     value):
+    flag = "--" + key.replace("_", "-")
+    assert run([command, "--model", "abc", "--grid", "interval:7",
+                flag, value]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = abc\ngrid = interval:7\n{key} = {value}\n")
+    assert run([command, "--config", str(cfg)]) == EXIT_USAGE
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("fold", "seed", "3"), ("continue", "seed", "3"), ("bench", "seed", "3"),
     ("continue", "tol", "1e-6"), ("bench", "tol", "1e-6"),

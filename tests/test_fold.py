@@ -129,6 +129,29 @@ def test_cross_method_agreement_medium_grid():
     assert abs(det.lambda_bisect - det.lambda_moore_spence) <= 1e-6 * fp.lam
 
 
+def test_adaptive_branch_stays_below_the_fold():
+    grid = build_grid("interval", 63)
+    branch = continue_branch(grid, _abc(), lam_start=1.0)
+    lam_star = detect_fold(grid, _abc(), branch).lambda_moore_spence
+    assert branch.fold_bracketed
+    # the fixed 0.05 step took 164 records to bracket this fold
+    assert len(branch.records) <= 30
+    stable = [rec.lam for rec in branch.records if rec.delta > 0]
+    assert all(b > a for a, b in zip(stable, stable[1:]))
+    # maximality: no solution on the branch lies beyond lambda*
+    assert all(rec.lam <= lam_star * (1 + 1e-10) for rec in branch.records)
+
+
+def test_coupled_routes_pin_the_same_fold():
+    # both routes seed the augmented Newton from different points; its
+    # stop rule on the lambda step makes them agree far below 1e-10
+    grid = build_grid("interval", 191)
+    spec = coupled_model(q=1.487503)
+    direct = find_fold_direct(grid, spec)
+    det = detect_fold(grid, spec, continue_branch(grid, spec, lam_start=1.0))
+    assert det.lambda_moore_spence == pytest.approx(direct.lam, rel=1e-12)
+
+
 @pytest.mark.parametrize("spec", [
     abc_model(q=1.5, gamma=4.0),
     abc_model(q=1.5, gamma=3.7),

@@ -119,6 +119,19 @@ def test_principal_eigenvalue_continuum_limit():
     assert lam < np.pi ** 2
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("grid", [build_grid("interval", 9),
+                                  build_grid("rectangle", (3, 7))],
+                         ids=["interval", "rectangle"])
+def test_apply_laplacian_matches_the_matrix_row_by_row(grid, m):
+    f = np.random.default_rng(m).standard_normal((m, grid.n_nodes))
+    out = apply_laplacian(grid, f)
+    assert out.shape == f.shape and out.flags.c_contiguous
+    for i in range(m):
+        assert np.array_equal(out[i], grid.laplacian @ f[i])
+    assert np.array_equal(apply_laplacian(grid, f[0]), grid.laplacian @ f[0])
+
+
 def test_field_shape_validation():
     g = build_grid("interval", 5)
     with pytest.raises(GridMismatchError):
