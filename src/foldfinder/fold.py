@@ -10,9 +10,9 @@ The system is regular at a simple fold, and each Newton step is one more
 direction.  Newton stops on the residuals and on the size of its last
 lambda step, so lambda* does not depend on where it started.
 Continuation uses natural stepping with a secant predictor and switches
-to pseudo-arclength (bordered) correction when the corrector degrades
-near the turning point; in both modes the step length adapts to the
-corrector's iteration count.
+to pseudo-arclength stepping (tangent predictor and corrector, both
+bordered solves) near the turning point; in both modes the step length
+adapts to the corrector's iteration count.
 """
 
 from __future__ import annotations
@@ -271,12 +271,14 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
     """Trace the stable branch from lam_start until a fold is bracketed.
 
     Natural-parameter stepping with a secant predictor; switches to
-    pseudo-arclength correction when the Newton corrector degrades.  In
-    both modes ``step`` is the initial step: after each accepted corrector
-    the step is scaled by ``_step_factor`` of its iteration count (the
-    arclength step capped at 0.1), and a failed corrector halves it.  Each
-    record carries the stability index; tracing stops once delta changes
-    sign (fold bracketed) or max_records is reached.
+    pseudo-arclength stepping, predicting along the branch tangent, when
+    the Newton corrector degrades or delta falls below a quarter of its
+    first value.  In both modes ``step`` is the initial step: after each
+    accepted corrector the step is scaled by ``_step_factor`` of its
+    iteration count (the arclength step capped at 0.1), and a failed
+    corrector halves it.  Each record carries the stability index; tracing
+    stops once delta changes sign (fold bracketed) or max_records is
+    reached.
     """
     rep = solve_nehari(grid, spec, lam_start, tol=tol)
     if not rep.converged:
@@ -327,7 +329,10 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                 mode = "arclength"
             continue
 
-        # pseudo-arclength
+        # pseudo-arclength: predict along the tangent at cur, the null
+        # vector of [H, dF/dlam] oriented by the secant.  A secant over a
+        # long natural step cuts across the turning point, and its plane
+        # can miss the branch.
         if prev is None:
             prev = (cur[0], cur[1] - 1e-3 * max(abs(cur[1]), 1.0))
         du = cur[0].u - prev[0].u
@@ -335,7 +340,16 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
         tnorm = math.sqrt(norm(grid, du) ** 2 + dlam ** 2)
         if tnorm == 0.0:
             break
-        tu, tlam = du / tnorm, dlam / tnorm
+        try:
+            tu, tlam = solve_bordered(
+                hessian_operator(cur[0], cur[1]),
+                -(cur[0].u ** (spec.q - 1.0)).ravel(),
+                grid.node_weight * du.ravel(), dlam, np.zeros(du.size), 1.0)
+        except SingularBorderError:
+            break
+        tu = tu.reshape(du.shape)
+        tnorm = math.sqrt(norm(grid, tu) ** 2 + tlam ** 2)
+        tu, tlam = tu / tnorm, tlam / tnorm
         ok, result = _arclength_corrector(grid, spec, cur[0].u + ds * tu,
                                           cur[1] + ds * tlam, tu, tlam, tol)
         if ok:
@@ -353,9 +367,14 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
 def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          lam_pred: float, tu: np.ndarray, tlam: float,
                          tol: float, max_iters: int = 12):
-    """Newton corrector on {residual = 0, tangent plane through predictor}."""
+    """Newton corrector on {residual = 0, tangent plane through predictor}.
+
+    Fails when the iterate collapses onto the trivial solution u = 0, which
+    meets every tangent plane that is not parallel to the lambda axis.
+    """
     tol_abs = tol * grid.stencil_scale
     u = _clip_cone(u_pred)
+    sup0 = float(u.max())
     lam = lam_pred
     w = grid.node_weight
     for it in range(1, max_iters + 1):
@@ -363,6 +382,8 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
             state = make_state(grid, spec, u)
             f1 = phi_grad(state, lam)
         except ConeError:
+            return False, None
+        if state.sup <= 1e-8 * sup0:
             return False, None
         con = (w * float(tu.ravel() @ (u - u_pred).ravel())
                + tlam * (lam - lam_pred))

@@ -129,12 +129,21 @@ def test_cross_method_agreement_medium_grid():
     assert abs(det.lambda_bisect - det.lambda_moore_spence) <= 1e-6 * fp.lam
 
 
-def test_adaptive_branch_stays_below_the_fold():
-    grid = build_grid("interval", 63)
-    branch = continue_branch(grid, _abc(), lam_start=1.0)
-    lam_star = detect_fold(grid, _abc(), branch).lambda_moore_spence
+@pytest.mark.parametrize("spec, kind, n", [
+    (abc_model(q=1.5, gamma=4.0), "interval", 63),
+    # the last natural step lands 0.2% below the fold, and a secant
+    # predictor over it left the branch
+    (abc_model(q=1.678364, gamma=4.745932), "interval", 127),
+    # an arclength corrector here converged to u = 0 at lambda 5% above
+    # the fold
+    (abc_model(q=1.586527, gamma=4.779941), "rectangle", 47),
+], ids=["abc-4", "long-last-natural-step", "trivial-solution"])
+def test_adaptive_branch_stays_below_the_fold(spec, kind, n):
+    grid = build_grid(kind, n)
+    branch = continue_branch(grid, spec, lam_start=1.0)
+    lam_star = detect_fold(grid, spec, branch).lambda_moore_spence
     assert branch.fold_bracketed
-    # the fixed 0.05 step took 164 records to bracket this fold
+    # the fixed 0.05 step took 164 records to bracket the abc-4 fold
     assert len(branch.records) <= 30
     stable = [rec.lam for rec in branch.records if rec.delta > 0]
     assert all(b > a for a, b in zip(stable, stable[1:]))
