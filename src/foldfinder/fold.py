@@ -337,8 +337,7 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
             prev = (cur[0], cur[1] - 1e-3 * max(abs(cur[1]), 1.0))
         du = cur[0].u - prev[0].u
         dlam = cur[1] - prev[1]
-        tnorm = math.sqrt(norm(grid, du) ** 2 + dlam ** 2)
-        if tnorm == 0.0:
+        if dlam == 0.0 and not du.any():
             break
         try:
             tu, tlam = solve_bordered(
