@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 _COMMON_KEYS = {"model", "q", "gamma", "m", "grid", "output"}
 _KEYS_BY_COMMAND = {
     "solve": _COMMON_KEYS | {"lambda", "restarts", "init", "seed", "tol"},
-    "fold": _COMMON_KEYS | {"restarts", "method", "tol"},
+    "fold": _COMMON_KEYS | {"method", "tol"},
     "continue": _COMMON_KEYS | {"lambda_start", "step", "max_records"},
     "bench": _COMMON_KEYS | {"grids", "methods"},
     "check": _COMMON_KEYS | {"seed"},
@@ -297,8 +297,7 @@ def cmd_fold(cfg: RunConfig) -> int:
     tol = float(cfg.get("tol", 1e-12))
     try:
         if method == "direct":
-            fp = find_fold_direct(grid, spec,
-                                  restarts=int(cfg.get("restarts", 3)), tol=tol)
+            fp = find_fold_direct(grid, spec, tol=tol)
         else:
             branch = continue_branch(grid, spec, lam_start=1.0)
             fp = detect_fold(grid, spec, branch, tol=tol).fold_point
@@ -459,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fold", help="locate the maximal fold point")
     _add_common(p)
-    p.add_argument("--restarts", help="ascent restart count")
     p.add_argument("--method", help="direct or continuation")
     p.add_argument("--tol", help="relative augmented-Newton tolerance")
 

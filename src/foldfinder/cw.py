@@ -2,9 +2,13 @@
 
 The inner infimum of the extended Rayleigh quotient is restricted to the
 positive cone of test directions, where it reduces to the minimum nodewise
-ratio (the classical Collatz-Wielandt form); the outer maximization is a
-projected ascent on a softmin smoothing of that minimum with an annealed
-temperature, filtered a posteriori by the stability index.
+ratio (the classical Collatz-Wielandt form).  The outer maximization is the
+monotone Collatz-Wielandt fixed point, a nonlinear analogue of the inverse
+power method of Hein and Buehler (2010): rescale u along its fiber to the
+largest minimum ratio, then solve -Delta_h u_new = lambda_cw u^(q-1) + g(u)
+on one Laplacian factor.  It does not reach the exact max-min: from the
+sublinear state it stops at a stable branch solution below lambda*, and
+the augmented Newton of ``fold.moore_spence_solve`` closes the gap.
 """
 
 from __future__ import annotations
@@ -15,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import State, require_cone_interior, FiberExpansion
-from .mesh import Grid, apply_laplacian, norm, principal_laplacian_eigenvalue
-from .model import (ModelSpec, eval_g, eval_g_jacobian, _simplex_rays,
-                    _term_partials)
-from .spectrum import stability_index, stability_tolerance
-
-_CONE_FLOOR = 1e-12
+from .linalg import _factorized
+from .mesh import Grid, apply_laplacian, principal_laplacian_eigenvalue
+from .model import ModelSpec, eval_g, _simplex_rays, _term_partials
+from .spectrum import StabilityResult, stability_index, stability_tolerance
 
 
 @dataclass
@@ -33,6 +35,7 @@ class CwCandidate:
     stable: bool | None = None
     converged: bool = False
     iterations: int = 0
+    stability: StabilityResult | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -52,117 +55,88 @@ def cw_value(state: State) -> CwCandidate:
                        active_node=active, gap=float(r.max() - r.min()))
 
 
-def _softmin_and_grad(state: State, temp: float) -> tuple[float, np.ndarray]:
-    """Softmin of the nodewise ratios and its exact gradient in u."""
-    grid, u, q = state.grid, state.u, state.spec.q
-    den = u ** (q - 1.0)
-    num = apply_laplacian(grid, u) - eval_g(state.spec, u)
-    r = num / den
-    shift = r.min()
-    wgt = np.exp(-(r - shift) / temp)
-    wgt /= wgt.sum()
-    value = shift - temp * math.log(np.exp(-(r - shift) / temp).sum())
-    # d r_j / d u_k assembled transposed against the softmin weights
-    p_over_d = wgt / den
-    jac = eval_g_jacobian(state.spec, u)
-    grad = (apply_laplacian(grid, p_over_d)
-            - np.einsum("ijn,jn->in", jac, p_over_d)
-            - (q - 1.0) * u ** (q - 2.0) * wgt * r)
-    return value, grad
+def _fiber_argmax(state: State) -> float | None:
+    """t > 0 that maximizes the minimum nodewise ratio along t -> t u.
 
-
-def cw_ascend(init: State, *, max_iters: int = 400, gap_tol: float = 1e-8,
-              check_every: int = 5, step0: float = 0.2,
-              sup_cap: float = 1e6) -> CwCandidate:
-    """Projected softmin ascent toward the maximal stable min-ratio.
-
-    Anneals the softmin temperature from 1e-1 to 1e-6 of the running ratio
-    scale, clips iterates to the cone floor, and tracks the best iterate with
-    a nonnegative stability index.  ``gap_tol`` is relative to the stencil
-    scale.  If the model has no superlinear part the ascent diverges in scale
-    and is stopped by the cap with ``converged=False``.
+    Node i's ratio is r_i(t) = a_i t^(2-q) - sum_k b_ki t^(d_k-q), with a_i
+    and b_ki the Laplacian and the k-th term of g at u over u_i^(q-1).  Its
+    slope has the sign of (2-q) a_i - sum_k (d_k-q) b_ki t^(d_k-2), which
+    falls in t, so each r_i rises then falls and so does their minimum:
+    bisection in log t on the slope of the minimizing node finds the argmax
+    to rounding.  Returns 1 when some a_i <= 0 (the minimum is then negative
+    and largest as t -> 0) and None when the minimum grows without bound
+    (no superlinear part).
     """
-    require_cone_interior(init)
-    grid = init.grid
-    scale = grid.stencil_scale
-    gap_abs = gap_tol * scale
-    tol_stab = stability_tolerance(init)
+    u, q = state.u.ravel(), state.spec.q
+    den = u ** (q - 1.0)
+    a = apply_laplacian(state.grid, state.u).ravel() / den
+    if a.min() <= 0.0:
+        return 1.0
+    b = _term_partials(state.spec, state.u, 1).reshape(-1, u.size) / den
+    d = np.array(state.spec.degrees)
 
-    state = init
-    best: CwCandidate | None = None
-    step = step0
-    sup0 = state.sup
-    capped_by_growth = False
+    def rising(s: float) -> bool:
+        t = math.exp(s)
+        i = int(np.argmin(a * t ** (2.0 - q) - t ** (d - q) @ b))
+        return (2.0 - q) * a[i] > float((d - q) * t ** (d - 2.0) @ b[:, i])
 
-    converged = False
-    best_value = -math.inf
-    stalled = 0
+    # expand a bracket in s = log t from s = 0 until the slope changes sign
+    s, step = 0.0, (1.0 if rising(0.0) else -1.0)
+    while rising(s + step) == (step > 0):
+        s, step = s + step, 2.0 * step
+        if abs(s + step) > 345.0:          # t beyond 1e150
+            return None
+    lo, hi = sorted((s, s + step))
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-15 and lo < mid < hi:
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return math.exp(mid)
+
+
+def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
+    """Monotone Collatz-Wielandt fixed point toward the max-min ratio.
+
+    Each step rescales u along its fiber to the largest minimum ratio
+    lambda_cw (``_fiber_argmax``), then takes the Laplacian step
+    u <- L^-1 (lambda_cw u^(q-1) + g(u)) on one factor of the Laplacian.
+    Since L u >= lambda_cw u^(q-1) + g(u) nodewise, the step lowers u and
+    lambda_cw cannot fall.  The ascent stops once lambda_cw rises by at
+    most 1e-8 relative; a fall is rounding noise, about 1e-9 relative on
+    ``interval:255``.  It stops at a branch solution, not at the exact
+    max-min: from the sublinear state that solution is stable and lies
+    below lambda*, and ``fold.moore_spence_solve`` closes the gap.  A start
+    whose minimum ratio is negative takes its first step with lambda_cw
+    clamped at 0.  With no superlinear part the fiber has no maximum, and
+    the ascent stops at once with ``converged=False``.  The end point
+    carries its stability index; ``diagnostics["history"]`` lists
+    lambda_cw after each rescale.
+    """
+    spec = init.spec
+    lap_solve = _factorized(init.grid.laplacian)
+    state, cand, history, converged, it = init, cw_value(init), [], False, 0
     for it in range(1, max_iters + 1):
+        t = _fiber_argmax(state)
+        if t is None:
+            break
+        state = state.with_u(t * state.u)
         cand = cw_value(state)
-        if cand.lambda_cw > best_value + 1e-9 * max(abs(best_value), 1.0):
-            best_value = cand.lambda_cw
-            stalled = 0
-        else:
-            stalled += 1
-        if stalled >= 25:
-            converged = cand.gap <= gap_abs
-            break
-        if it % check_every == 0 or it == 1:
-            stab = stability_index(state)
-            cand.delta, cand.stable = stab.delta, stab.delta >= -tol_stab
-            if cand.stable and (best is None or cand.lambda_cw > best.lambda_cw):
-                best = cand
-        if state.sup > sup_cap * max(sup0, 1.0):
-            capped_by_growth = True
-            break
-
-        ratio_scale = max(abs(cand.lambda_cw) + cand.gap, 1e-12 * scale)
-        temp = ratio_scale * 10.0 ** (-1.0 - 5.0 * (it - 1) / max(max_iters - 1, 1))
-        value, grad = _softmin_and_grad(state, temp)
-        gn = norm(grid, grad)
-        # stall when both the ratios coincide and the ascent is stationary
-        # (at a single node the gap is identically zero, so the gap test
-        #  alone cannot separate a branch point from the fold)
-        if cand.gap <= gap_abs and gn * norm(grid, state.u) \
-                <= 1e-7 * ratio_scale:
+        history.append(cand.lambda_cw)
+        if len(history) > 1 and history[-1] - history[-2] \
+                <= 1e-8 * abs(history[-1]):
             converged = True
             break
-        if gn <= 1e-300:
-            break
-        direction = grad / gn
-        moved = False
-        alpha = step
-        for _ in range(12):
-            u_try = state.u + alpha * norm(grid, state.u) * direction
-            floor = _CONE_FLOOR * max(float(np.abs(u_try).max()), 1e-300)
-            u_try = np.maximum(u_try, floor)
-            trial = state.with_u(u_try)
-            v_try, _ = _softmin_and_grad(trial, temp)
-            if v_try > value:
-                state = trial
-                step = min(alpha * 1.2, 0.5)
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
-            step = max(step * 0.5, 1e-6)
-
-    final = cw_value(state)
-    stab = stability_index(state)
-    final.delta, final.stable = stab.delta, stab.delta >= -tol_stab
-    final.iterations = it
-    final.converged = converged
-    if final.stable and (best is None or final.lambda_cw > best.lambda_cw):
-        best = final
-    out = best if best is not None else final
-    out.iterations = it
-    out.converged = converged
-    out.diagnostics = {
-        "stable_found": best is not None,
-        "capped": not converged,
-        "growth_capped": capped_by_growth,
-    }
-    return out
+        rhs = max(cand.lambda_cw, 0.0) * state.u ** (spec.q - 1.0) \
+            + eval_g(spec, state.u)
+        state = state.with_u(lap_solve(rhs.T).T)
+    else:
+        cand = cw_value(state)
+    stab = stability_index(cand.state)
+    cand.stability, cand.delta = stab, stab.delta
+    cand.stable = stab.delta >= -stability_tolerance(cand.state)
+    cand.converged, cand.iterations = converged, it
+    cand.diagnostics = {"stable_found": cand.stable, "history": history}
+    return cand
 
 
 def upper_bound_lambda(spec: ModelSpec, grid: Grid) -> float:

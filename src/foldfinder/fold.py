@@ -214,40 +214,31 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
 
 
 def fold_from_candidate(cand: CwCandidate, tol: float = 1e-12) -> FoldPoint:
-    """Augmented-Newton refinement seeded by an ascent candidate."""
+    """Augmented-Newton refinement seeded by an ascent candidate.
+
+    The border is the principal eigenfield at the candidate, taken from the
+    stability index ``cw_ascend`` leaves on it when there is one.
+    """
+    stab = cand.stability or stability_index(cand.state)
     state = cand.state
-    stab = stability_index(state)
     return moore_spence_solve(state.grid, state.spec, state, stab.eigenfield,
                               cand.lambda_cw, tol=tol)
 
 
-def find_fold_direct(grid: Grid, spec: ModelSpec, *, restarts: int = 3,
-                     ascend_iters: int = 300, tol: float = 1e-12) -> FoldPoint:
-    """Direct pipeline: multi-start ascent, then augmented-Newton refinement.
+def find_fold_direct(grid: Grid, spec: ModelSpec, *,
+                     tol: float = 1e-12) -> FoldPoint:
+    """Direct pipeline: Collatz-Wielandt ascent, then augmented Newton.
 
-    Starts from the sublinear profile at a few fractions of the a-priori
-    bound; the best stable candidate seeds the certification step.
+    The ascent starts from the sublinear profile at half the a-priori
+    bound (its fiber rescale makes the result independent of that scale)
+    and stops at a stable branch solution below lambda*; the augmented
+    Newton climbs from there to the fold.
     """
     bound = upper_bound_lambda(spec, grid)
     if not math.isfinite(bound):
         raise NoFoldError("the a-priori bound is infinite; no fold exists")
-    best: CwCandidate | None = None
-    errors = []
-    for frac in np.linspace(0.25, 0.75, restarts):
-        lam0 = frac * bound
-        try:
-            init = sublinear_state(grid, spec, lam0)
-            cand = cw_ascend(init, max_iters=ascend_iters)
-        except (ConeError, ConvergenceError) as exc:
-            errors.append(exc)
-            continue
-        if cand.diagnostics.get("stable_found") and (
-                best is None or cand.lambda_cw > best.lambda_cw):
-            best = cand
-    if best is None:
-        raise ConvergenceError(
-            f"no stable ascent candidate found ({len(errors)} restarts errored)")
-    return fold_from_candidate(best, tol=tol)
+    cand = cw_ascend(sublinear_state(grid, spec, 0.5 * bound))
+    return fold_from_candidate(cand, tol=tol)
 
 
 def _step_factor(iters: int) -> float:

@@ -36,9 +36,9 @@ def _report(name, ok):
 
 def test_criterion_1_single_node_closed_form_fold():
     grid = build_grid("interval", 1)
-    find_fold_direct(grid, _abc(), restarts=1)  # warm lazy scipy imports
+    find_fold_direct(grid, _abc())  # warm lazy scipy imports
     t0 = time.perf_counter()
-    fp = find_fold_direct(grid, _abc(), restarts=1)
+    fp = find_fold_direct(grid, _abc())
     elapsed = time.perf_counter() - t0
     ok = (abs(fp.lam - LAM_STAR) <= 1e-10
           and abs(fp.state.u[0, 0] - U_STAR) <= 1e-10

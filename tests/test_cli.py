@@ -123,9 +123,11 @@ def test_fold_honours_tol(capsys):
         args = ["fold", "--method", method, "--model", "abc", "--q", "1.5",
                 "--gamma", "4", "--grid", "interval:15"]
         strict = _fold_summary(capsys, args)
-        loose = _fold_summary(capsys, args + ["--tol", "1e-6"])
+        # at 1e-6 the direct Newton, seeded on the branch near the fold,
+        # ends on the quadratic step that its lambda-step test still asks for
+        loose = _fold_summary(capsys, args + ["--tol", "1e-5"])
         assert loose[0] < strict[0]
-        assert strict[1] <= 1e-12 * scale < loose[1] <= 1e-6 * scale
+        assert strict[1] <= 1e-12 * scale < loose[1] <= 1e-5 * scale
 
 
 def test_fold_continuation_on_rectangle_agrees_with_direct(capsys):
@@ -159,10 +161,11 @@ def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
 @pytest.mark.parametrize("command, key, value", [
     ("fold", "seed", "3"), ("continue", "seed", "3"), ("bench", "seed", "3"),
     ("continue", "tol", "1e-6"), ("bench", "tol", "1e-6"),
-    ("check", "tol", "1e-6"),
+    ("check", "tol", "1e-6"), ("fold", "restarts", "3"),
 ])
 def test_unused_seed_and_tol_rejected(tmp_path, command, key, value):
-    # each command accepts seed and tol only where it uses them
+    # each command accepts seed and tol only where it uses them; fold runs
+    # one ascent, so it has no restarts
     assert run([command, "--model", "abc", "--grid", "interval:7",
                 f"--{key}", value]) == EXIT_USAGE
     cfg = tmp_path / "run.cfg"

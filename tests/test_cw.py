@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from foldfinder import (abc_model, build_grid, coupled_model, cw_ascend,
-                        cw_value, make_state, rayleigh_nl, solve_nehari,
-                        sublinear_state, upper_bound_lambda, zero_model)
+                        cw_value, find_fold_direct, make_state, rayleigh_nl,
+                        solve_nehari, sublinear_state, upper_bound_lambda,
+                        zero_model)
 
 
 def _one_node_state(value):
@@ -72,13 +73,33 @@ def test_ascend_never_exceeds_fold_value_stably():
             assert cand.lambda_cw <= LAM_STAR_1 + 1e-8
 
 
+@pytest.mark.parametrize("spec, kind, n", [
+    (abc_model(q=1.5, gamma=4.0), "interval", 63),
+    (abc_model(q=1.5, gamma=4.0), "rectangle", 15),
+    (coupled_model(q=1.5), "interval", 63),
+], ids=["abc-interval", "abc-rectangle", "coupled-interval"])
+def test_ascend_climbs_to_a_branch_solution_below_the_fold(spec, kind, n):
+    grid = build_grid(kind, n)
+    bound = upper_bound_lambda(spec, grid)
+    cand = cw_ascend(sublinear_state(grid, spec, 0.5 * bound))
+    assert cand.converged and cand.stable
+    history = cand.diagnostics["history"]
+    assert history[-1] == cand.lambda_cw
+    assert all(b >= a for a, b in zip(history, history[1:]))
+    assert cand.gap <= 1e-6 * grid.stencil_scale
+    lam_star = find_fold_direct(grid, spec).lam
+    assert cand.lambda_cw <= lam_star <= bound
+
+
 def test_ascend_zero_model_diverges_flagged():
     grid = build_grid("interval", 9)
     spec = zero_model(q=1.5, m=1)
     init = sublinear_state(grid, spec, 4.0)
     cand = cw_ascend(init, max_iters=120)
+    # with no superlinear part the ratios grow along the fiber without bound
     assert not cand.converged
-    assert cand.diagnostics["capped"]
+    assert cand.diagnostics["history"] == []
+    assert cand.state is init
 
 
 def test_ascend_coupled_symmetry():

@@ -5,9 +5,11 @@ import pytest
 from scipy.optimize import brentq
 
 from foldfinder import (ConvergenceError, NoFoldError, abc_model, build_grid,
-                        continue_branch, coupled_model, detect_fold,
-                        find_fold_direct, make_state, moore_spence_solve,
-                        zero_model, ModelSpec)
+                        continue_branch, coupled_model, cw_ascend, detect_fold,
+                        find_fold_direct, fold_from_candidate, make_state,
+                        moore_spence_solve, newton_solve, stability_index,
+                        stability_tolerance, sublinear_state,
+                        upper_bound_lambda, zero_model, ModelSpec)
 
 LAM_STAR_1 = 8.0 * 1.6 ** 0.25 - 1.6 ** 1.25
 U_STAR_1 = np.sqrt(1.6)
@@ -33,6 +35,52 @@ def test_fold_certificate():
     fp = find_fold_direct(grid, _abc())
     assert abs(fp.delta) <= 1e-6 * grid.stencil_scale
     assert fp.eig_alignment >= 0.999
+
+
+@pytest.mark.parametrize("q, gamma", [(1.5, 4.0), (1.3, 4.0), (1.7, 5.0)])
+def test_direct_one_node_closed_form(q, gamma):
+    # 8 u = lam u^(q-1) + u^(gamma-1) at the one node; at (1.3, 4) the
+    # ascent lands on the fold itself, where delta is rounding noise
+    u_star = (8.0 * (2.0 - q) / (gamma - q)) ** (1.0 / (gamma - 2.0))
+    lam_star = 8.0 * u_star ** (2.0 - q) - u_star ** (gamma - q)
+    fp = find_fold_direct(build_grid("interval", 1), abc_model(q=q, gamma=gamma))
+    assert fp.lam == pytest.approx(lam_star, abs=1e-10)
+    assert fp.state.u[0, 0] == pytest.approx(u_star, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind, n, lam_ref", [
+    ("interval", 31, 8.99619164804791), ("rectangle", 15, 18.484036918648),
+])
+def test_direct_fold_near_q_two(kind, n, lam_ref):
+    # the sublinear start lies far below the fold at q = 1.9, and an
+    # augmented Newton seeded there diverged
+    grid, spec = build_grid(kind, n), abc_model(q=1.9, gamma=4.0)
+    fp = find_fold_direct(grid, spec)
+    assert fp.lam == pytest.approx(lam_ref, rel=1e-12)
+    assert fp.lam <= upper_bound_lambda(spec, grid)
+    assert abs(fp.delta) <= stability_tolerance(fp.state)
+    # H is singular at u*, and a Newton step from u* itself shoots onto
+    # u = 0, so start on the stable side along the null direction
+    scale = fp.state.sup / np.abs(fp.v).max()
+    below = make_state(grid, spec, fp.state.u - 0.1 * scale * fp.v)
+    state, ok, _, _ = newton_solve(grid, spec, 0.99 * fp.lam, below)
+    assert ok and stability_index(state).delta > stability_tolerance(state)
+    for init in (fp.state, below):
+        assert not newton_solve(grid, spec, 1.01 * fp.lam, init)[1]
+
+
+def test_fold_from_candidate_reuses_the_ascent_eigenpair(monkeypatch):
+    grid, spec = build_grid("interval", 31), _abc()
+    cand = cw_ascend(sublinear_state(grid, spec, 2.0))
+    expect = moore_spence_solve(grid, spec, cand.state,
+                                stability_index(cand.state).eigenfield,
+                                cand.lambda_cw).lam
+
+    def fail(state):
+        raise AssertionError("stability index solved again")
+
+    monkeypatch.setattr("foldfinder.fold.stability_index", fail)
+    assert fold_from_candidate(cand).lam == expect
 
 
 def test_moore_spence_coupled_interval_31_reference():
