@@ -31,12 +31,20 @@ class CwCandidate:
     lambda_cw: float
     active_node: tuple[int, int]      # (component, node index) of the min ratio
     gap: float                        # max ratio - min ratio
-    delta: float | None = None
-    stable: bool | None = None
     converged: bool = False
     iterations: int = 0
-    stability: StabilityResult | None = None
+    stability: StabilityResult | None = None   # set by cw_ascend
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def delta(self) -> float | None:
+        return None if self.stability is None else self.stability.delta
+
+    @property
+    def stable(self) -> bool | None:
+        if self.stability is None:
+            return None
+        return self.stability.delta >= -stability_tolerance(self.state)
 
 
 def _ratios(state: State) -> np.ndarray:
@@ -131,9 +139,7 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
         state = state.with_u(lap_solve(rhs.T).T)
     else:
         cand = cw_value(state)
-    stab = stability_index(cand.state)
-    cand.stability, cand.delta = stab, stab.delta
-    cand.stable = stab.delta >= -stability_tolerance(cand.state)
+    cand.stability = stability_index(cand.state)
     cand.converged, cand.iterations = converged, it
     cand.diagnostics = {"stable_found": cand.stable, "history": history}
     return cand

@@ -7,8 +7,8 @@ bordered solve [[H, b], [b', 0]] (v, g) = (0, 1) with a fixed border b.
 The system is regular at a simple fold, and each Newton step is one more
 ``solve_bordered`` call, factored whole: block elimination through the
 (near) singular Hessian pivot would amplify roundoff along the null
-direction.  Newton stops on the residuals and on the size of its last
-lambda step, so lambda* does not depend on where it started.
+direction.  Newton stops on the residuals and on the size of its next
+lambda correction, so lambda* does not depend on where it started.
 Continuation uses natural stepping with a secant predictor and switches
 to pseudo-arclength stepping (tangent predictor and corrector, both
 bordered solves) near the turning point; in both modes the step length
@@ -110,12 +110,13 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     it used to solve; it stays because it is public and gives the same fold
     point.  The border b is ``init_v``, Euclidean-normalized and fixed.
     ``tol`` is relative to the stencil scale.  Newton stops once ||F|| and
-    |g| are at most ``tol`` times the stencil scale and the last accepted
-    lambda correction is at most 100 ``tol`` relative to max(|lambda|, 1):
-    the residuals alone stop wherever the last iterate happens to land,
-    which leaves lambda* depending on the starting point.  Converged points
-    satisfy all three residual bounds (v at quadrature norm one) and carry
-    the eigen-certificate.
+    |g| are at most ``tol`` times the stencil scale and the lambda part of
+    the Newton correction at the current iterate, its error estimate, is at
+    most ``tol`` relative to max(|lambda|, 1); that correction is not
+    applied.  The residuals alone stop wherever the last iterate happens to
+    land, which leaves lambda* depending on the starting point.  Converged
+    points satisfy all three residual bounds (v at quadrature norm one) and
+    carry the eigen-certificate.
     """
     m, n = spec.m, grid.n_nodes
     scale = grid.stencil_scale
@@ -145,15 +146,14 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
         theta = merit(f, g)
         best = (math.sqrt(theta), state, v.copy(), lam)
         history = [math.sqrt(theta)]
-        lam_step = math.inf
 
         for it in range(1, max_iters + 1):
-            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
-                    and abs(lam_step) <= 100.0 * tol * max(abs(lam), 1.0):
-                break
             g_u, g_lam = _test_function_gradient(state, lam, v)
             du, dlam = solve_bordered(hess, -state.u ** (spec.q - 1.0),
                                       g_u, g_lam, -f, -g)
+            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
+                    and abs(dlam) <= tol * max(abs(lam), 1.0):
+                break
             du = du.reshape(m, n)
 
             alpha, accepted = 1.0, False
@@ -170,8 +170,7 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                 if theta_try <= (1.0 - 1e-4 * alpha) * theta \
                         or theta_try < tol_abs**2:
                     state, hess, f, v, g = out
-                    lam_step = alpha * dlam
-                    lam = lam + lam_step
+                    lam = lam + alpha * dlam
                     theta = theta_try
                     accepted = True
                     break
@@ -214,15 +213,14 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
 
 
 def fold_from_candidate(cand: CwCandidate, tol: float = 1e-12) -> FoldPoint:
-    """Augmented-Newton refinement seeded by an ascent candidate.
+    """Augmented-Newton refinement seeded by a ``cw_ascend`` candidate.
 
-    The border is the principal eigenfield at the candidate, taken from the
-    stability index ``cw_ascend`` leaves on it when there is one.
+    The border is the principal eigenfield the ascent leaves on it.
     """
-    stab = cand.stability or stability_index(cand.state)
     state = cand.state
-    return moore_spence_solve(state.grid, state.spec, state, stab.eigenfield,
-                              cand.lambda_cw, tol=tol)
+    return moore_spence_solve(state.grid, state.spec, state,
+                              cand.stability.eigenfield, cand.lambda_cw,
+                              tol=tol)
 
 
 def find_fold_direct(grid: Grid, spec: ModelSpec, *,
@@ -232,12 +230,21 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     The ascent starts from the sublinear profile at half the a-priori
     bound (its fiber rescale makes the result independent of that scale)
     and stops at a stable branch solution below lambda*; the augmented
-    Newton climbs from there to the fold.
+    Newton climbs from there to the fold.  It converges to any singular
+    point, so an ascent that ends on an unstable state raises
+    ``ConvergenceError`` instead of seeding it.
     """
     bound = upper_bound_lambda(spec, grid)
     if not math.isfinite(bound):
         raise NoFoldError("the a-priori bound is infinite; no fold exists")
-    cand = cw_ascend(sublinear_state(grid, spec, 0.5 * bound))
+    try:
+        cand = cw_ascend(sublinear_state(grid, spec, 0.5 * bound))
+    except ConeError as exc:
+        raise ConvergenceError(f"ascent left the positive cone: {exc}") from exc
+    if not cand.stable:
+        raise ConvergenceError(
+            f"ascent ended on an unstable state (delta={cand.delta:.3e})",
+            iterations=cand.iterations)
     return fold_from_candidate(cand, tol=tol)
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from foldfinder import (ConvergenceError, NoFoldError, abc_model, build_grid,
-                        continue_branch, coupled_model, cw_ascend, detect_fold,
-                        find_fold_direct, fold_from_candidate, make_state,
-                        moore_spence_solve, newton_solve, stability_index,
-                        stability_tolerance, sublinear_state,
+from foldfinder import (ConeError, ConvergenceError, NoFoldError, abc_model,
+                        build_grid, continue_branch, coupled_model, cw_ascend,
+                        detect_fold, find_fold_direct, fold_from_candidate,
+                        make_state, moore_spence_solve, newton_solve,
+                        stability_index, stability_tolerance, sublinear_state,
                         upper_bound_lambda, zero_model, ModelSpec)
 
 LAM_STAR_1 = 8.0 * 1.6 ** 0.25 - 1.6 ** 1.25
@@ -81,6 +81,26 @@ def test_fold_from_candidate_reuses_the_ascent_eigenpair(monkeypatch):
 
     monkeypatch.setattr("foldfinder.fold.stability_index", fail)
     assert fold_from_candidate(cand).lam == expect
+
+
+def test_direct_rejects_an_unstable_ascent_end(monkeypatch):
+    # u = 2 on one node lies on the unstable branch (delta = -6); seeded
+    # there, the augmented Newton would still climb to the fold
+    grid, spec = build_grid("interval", 1), _abc()
+    unstable = make_state(grid, spec, np.array([[2.0]]))
+    monkeypatch.setattr("foldfinder.fold.cw_ascend",
+                        lambda init: cw_ascend(unstable, max_iters=0))
+    with pytest.raises(ConvergenceError, match="unstable"):
+        find_fold_direct(grid, spec)
+
+
+def test_direct_ascent_cone_error_becomes_convergence_error(monkeypatch):
+    def leave_cone(init):
+        raise ConeError("state left the positive cone")
+
+    monkeypatch.setattr("foldfinder.fold.cw_ascend", leave_cone)
+    with pytest.raises(ConvergenceError, match="positive cone"):
+        find_fold_direct(build_grid("interval", 7), _abc())
 
 
 def test_moore_spence_coupled_interval_31_reference():
