@@ -5,8 +5,8 @@ from .errors import (ConeError, ConvergenceError, FiberEmptyError,
                      SigmaError, SingularBorderError)
 from .mesh import (Grid, apply_laplacian, build_grid, inner_product,
                    interval_eigenvalue, norm, principal_laplacian_eigenvalue)
-from .linalg import (LinearOperator, smallest_eigenpair, solve_bordered,
-                     solve_counter)
+from .linalg import (LinearOperator, factor_bordered, smallest_eigenpair,
+                     solve_bordered, solve_counter)
 from .model import (HypothesisReport, ModelSpec, abc_model, coupled_model,
                     eval_G, eval_g, eval_g_jacobian, make_model,
                     validate_hypotheses, zero_model)

@@ -191,13 +191,9 @@ def _field_header(grid: Grid, m: int, names=("u",)) -> list[str]:
     return cols
 
 
-def _field_rows(grid: Grid, fields: list[np.ndarray]):
-    coords = grid.coords
-    for j in range(grid.n_nodes):
-        row = [float(c) for c in coords[j]]
-        for f in fields:
-            row.extend(f[:, j])
-        yield row
+def _field_rows(grid: Grid, fields: list[np.ndarray]) -> list[list[float]]:
+    """One row per node: its coordinates, then each field's components."""
+    return np.column_stack([grid.coords, *(f.T for f in fields)]).tolist()
 
 
 def write_solution_csv(path, grid: Grid, u: np.ndarray) -> None:

@@ -2,12 +2,13 @@
 
 A fold is refined by damped Newton on the minimally augmented system
 {F(u, lam) = 0, g(u, lam) = 0} (Griewank and Reddien 1984; Govaerts 2000,
-ch. 4), where the test function g and the null vector v come from one
+ch. 3-4), where the test function g and the null vector v come from one
 bordered solve [[H, b], [b', 0]] (v, g) = (0, 1) with a fixed border b.
-The system is regular at a simple fold, and each Newton step is one more
-``solve_bordered`` call, factored whole: block elimination through the
-(near) singular Hessian pivot would amplify roundoff along the null
-direction.  Newton stops on the residuals and on the size of its next
+The bordered matrix is factored whole, once per iterate, and it stays
+regular at a simple fold.  The Newton step reuses that factor: two more
+solves and a 2x2 system give it, with a backward-error check on the full
+Newton system, so nothing is eliminated through the (near) singular
+Hessian.  Newton stops on the residuals and on the size of its next
 lambda correction, so lambda* does not depend on where it started.
 Continuation uses natural stepping with a secant predictor and switches
 to pseudo-arclength stepping (tangent predictor and corrector, both
@@ -25,7 +26,8 @@ import numpy as np
 from .errors import (ConeError, ConvergenceError, NoFoldError,
                      SingularBorderError)
 from .energy import State, hessian_operator, make_state, phi, phi_grad
-from .linalg import smallest_eigenpair, solve_bordered
+from .linalg import (LinearOperator, factor_bordered, smallest_eigenpair,
+                     solve_bordered)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_nehari, sublinear_state, _clip_cone
@@ -42,6 +44,7 @@ class FoldPoint:
     residuals: tuple[float, float, float]   # (||F||, ||Hv||, | ||v||^2 - 1 |)
     newton_iterations: int
     eig_alignment: float = math.nan          # |cos| between v and eigenfield
+    history: tuple[float, ...] = ()          # sqrt(||F||^2 + g^2) per iterate
 
 
 @dataclass
@@ -101,6 +104,44 @@ def _test_function_gradient(state: State, lam: float,
     return g_u, g_lam
 
 
+def _augmented_newton_step(hess: LinearOperator, border, f: np.ndarray,
+                           g: float, v: np.ndarray, f_lam: np.ndarray,
+                           g_u: np.ndarray, g_lam: float, tol: float = 1e-10
+                           ) -> tuple[np.ndarray, float]:
+    """Newton step of {F = 0, g = 0} on the factor that gave (v, g).
+
+    ``border`` solves with M = [[H, b], [b', 0]], and M (v, g) = (0, 1).
+    With M (x1, y1) = (-F, 0) and M (x2, y2) = (F_lam, 0), the step
+    du = x1 - dlam x2 + alpha v solves [[H, F_lam], [g_u', g_lam]]
+    (du, dlam) = (-F, -g) once (dlam, alpha) solves the 2x2 system
+    [[-y2, g], [g_lam - g_u' x2, g_u' v]] (dlam, alpha) = (-y1, -g - g_u' x1).
+    At a simple fold g = 0 and its determinant is y2 g_u' v: y2 != 0 is the
+    transversality condition and g_u' v != 0 the quadratic-fold condition,
+    so no elimination runs through the singular H.  Vectors are flat.
+    Raises ``SingularBorderError`` when the 2x2 system is singular or the
+    backward error of the step in the full Newton system exceeds ``tol``.
+    """
+    x1, y1 = border(-f, 0.0)
+    x2, y2 = border(f_lam, 0.0)
+    small = np.array([[-y2, g], [g_lam - g_u @ x2, g_u @ v]])
+    try:
+        dlam, alpha = np.linalg.solve(small, [-y1, -g - g_u @ x1])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBorderError(f"augmented Newton system is singular: "
+                                  f"{exc}") from exc
+    du = x1 - dlam * x2 + alpha * v
+
+    res = math.hypot(np.linalg.norm(hess(du) + dlam * f_lam + f),
+                     g_u @ du + g_lam * dlam + g)
+    ref = (math.hypot(np.linalg.norm(f), g)
+           + (np.linalg.norm(f_lam) + np.linalg.norm(g_u) + abs(g_lam)
+              + hess.scale()) * math.hypot(np.linalg.norm(du), dlam))
+    if not res <= tol * ref:
+        raise SingularBorderError("augmented Newton system is numerically "
+                                  "singular", condition_estimate=ref / res)
+    return du, float(dlam)
+
+
 def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                        init_v: np.ndarray, init_lam: float,
                        tol: float = 1e-12, max_iters: int = 50) -> FoldPoint:
@@ -109,14 +150,19 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     The name is that of the Moore-Spence system {F = 0, H v = 0, <v, v> = 1}
     it used to solve; it stays because it is public and gives the same fold
     point.  The border b is ``init_v``, Euclidean-normalized and fixed.
+    Each evaluated iterate factors one bordered matrix [[H, b], [b', 0]]:
+    its solve gives (v, g), and two more solves on the same factor give
+    the Newton step (``_augmented_newton_step``).  The factor is released
+    before the line search, so one bordered factor is alive at a time.
     ``tol`` is relative to the stencil scale.  Newton stops once ||F|| and
     |g| are at most ``tol`` times the stencil scale and the lambda part of
     the Newton correction at the current iterate, its error estimate, is at
     most ``tol`` relative to max(|lambda|, 1); that correction is not
     applied.  The residuals alone stop wherever the last iterate happens to
     land, which leaves lambda* depending on the starting point.  Converged
-    points satisfy all three residual bounds (v at quadrature norm one) and
-    carry the eigen-certificate.
+    points satisfy all three residual bounds (v at quadrature norm one),
+    carry the eigen-certificate and the merit history
+    sqrt(||F||^2 + g^2) of the start and each accepted iterate.
     """
     m, n = spec.m, grid.n_nodes
     scale = grid.stencil_scale
@@ -134,23 +180,27 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
         state = make_state(grid, spec, u)
         hess = hessian_operator(state, lam)
         f = phi_grad(state, lam)
-        v, g = solve_bordered(hess, b, b, 0.0, np.zeros(m * n), 1.0)
-        return state, hess, f, v.reshape(m, n), g
+        border = factor_bordered(hess, b, b, 0.0)
+        v, g = border(np.zeros(m * n), 1.0)
+        return state, hess, f, v.reshape(m, n), g, border
 
     def merit(f, g):
         return norm(grid, f) ** 2 + g ** 2
 
     it, best = 0, None
     try:
-        state, hess, f, v, g = residual(_clip_cone(init_u.u.copy()), lam)
+        state, hess, f, v, g, border = residual(_clip_cone(init_u.u.copy()),
+                                                lam)
         theta = merit(f, g)
         best = (math.sqrt(theta), state, v.copy(), lam)
         history = [math.sqrt(theta)]
 
         for it in range(1, max_iters + 1):
             g_u, g_lam = _test_function_gradient(state, lam, v)
-            du, dlam = solve_bordered(hess, -state.u ** (spec.q - 1.0),
-                                      g_u, g_lam, -f, -g)
+            du, dlam = _augmented_newton_step(
+                hess, border, f.ravel(), g, v.ravel(),
+                -(state.u ** (spec.q - 1.0)).ravel(), g_u.ravel(), g_lam)
+            border = out = None
             if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
                     and abs(dlam) <= tol * max(abs(lam), 1.0):
                 break
@@ -169,11 +219,12 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                 theta_try = merit(out[2], out[4])
                 if theta_try <= (1.0 - 1e-4 * alpha) * theta \
                         or theta_try < tol_abs**2:
-                    state, hess, f, v, g = out
+                    state, hess, f, v, g, border = out
                     lam = lam + alpha * dlam
                     theta = theta_try
                     accepted = True
                     break
+                out = None
                 alpha *= 0.5
             if not accepted:
                 raise ConvergenceError("augmented Newton stalled",
@@ -209,7 +260,8 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     vv = w * float(v.ravel() @ v.ravel())
     return FoldPoint(state=state, v=v, lam=lam, delta=delta,
                      residuals=(norm(grid, f), hv, abs(vv - 1.0)),
-                     newton_iterations=it, eig_alignment=align)
+                     newton_iterations=it, eig_alignment=align,
+                     history=tuple(history))
 
 
 def fold_from_candidate(cand: CwCandidate, tol: float = 1e-12) -> FoldPoint:

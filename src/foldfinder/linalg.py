@@ -2,9 +2,13 @@
 
 This is the only module that factors a matrix, and ``_factorized`` is its
 only SuperLU binding: every triangular solve in the package goes through a
-factor it returns, and is counted in ``solve_counter``.  ``solve_bordered``
-factors the assembled bordered matrix, and the Newton and fixed-point loops
-elsewhere factor their own matrices through ``_factorized``.
+factor it returns, and is counted in ``solve_counter``.  Every factor uses
+one column ordering, minimum degree on A' + A (``MMD_AT_PLUS_A``), which
+keeps the fill of the structurally symmetric stencil matrices low.
+``factor_bordered`` assembles and factors a bordered matrix once and
+returns a solve function, so one factor serves several right-hand sides;
+``solve_bordered`` is that factor used once.  The Newton and fixed-point
+loops elsewhere factor their own matrices through ``_factorized``.
 
 ``smallest_eigenpair`` picks its path from the matrix pattern.  A
 tridiagonal matrix (a scalar model on an interval grid) goes to LAPACK's
@@ -69,12 +73,60 @@ class LinearOperator:
 
 
 def _factorized(matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """SuperLU factor of ``matrix`` as a solve function that counts its calls."""
-    lu = spla.splu(sp.csc_matrix(matrix))
+    """SuperLU factor of ``matrix`` as a solve function that counts its calls.
+
+    Columns are ordered by minimum degree on the pattern of A' + A, which
+    suits the structurally symmetric matrices factored here: stencil
+    Hessians, H - sigma I and their bordered extensions.
+    """
+    lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
 
     def solve(b: np.ndarray) -> np.ndarray:
         solve_counter.value += 1
         return lu.solve(b)
+
+    return solve
+
+
+def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
+                    d: float, tol: float = 1e-10
+                    ) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
+    """Factor the bordered matrix [[A, c], [b', d]] once for many solves.
+
+    Returns ``solve(f, g) -> (x, y)``, the solution of
+    [[A, c], [b', d]] (x, y) = (f, g).  The bordered matrix is assembled and
+    factored whole.  It stays regular at a simple fold, where A itself is
+    singular, so no elimination runs through A (Govaerts 2000).  Raises
+    ``SingularBorderError`` when the factorization meets an exactly zero
+    pivot, and each solve raises it when the backward error of its solution
+    exceeds ``tol``.
+    """
+    c = np.asarray(c, dtype=float).ravel()
+    b_row = np.asarray(b_row, dtype=float).ravel()
+    n = op.dim
+    if not (c.shape[0] == b_row.shape[0] == n):
+        raise ValueError("border length mismatch")
+
+    full = sp.bmat([[op.matrix, sp.csr_matrix(c.reshape(-1, 1))],
+                    [sp.csr_matrix(b_row), sp.csr_matrix([[d]])]])
+    try:
+        lu = _factorized(full)
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise SingularBorderError(f"bordered system is singular: {exc}") from exc
+    size = np.linalg.norm(c) + np.linalg.norm(b_row) + abs(d) + op.scale()
+
+    def solve(rhs_f: np.ndarray, rhs_g: float) -> tuple[np.ndarray, float]:
+        rhs_f = np.asarray(rhs_f, dtype=float).ravel()
+        if rhs_f.shape[0] != n:
+            raise ValueError("rhs length mismatch")
+        rhs = np.append(rhs_f, rhs_g)
+        sol = lu(rhs)
+        res = np.linalg.norm(full @ sol - rhs)
+        ref = np.linalg.norm(rhs) + size * np.linalg.norm(sol)
+        if not res <= tol * ref:
+            raise SingularBorderError("bordered system is numerically singular",
+                                      condition_estimate=ref / res)
+        return sol[:n], float(sol[n])
 
     return solve
 
@@ -84,36 +136,9 @@ def solve_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
                    tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Solve the bordered system [[A, c], [b', d]] (x, y) = (f, g).
 
-    The bordered matrix is assembled and factored once.  It stays regular
-    at a simple fold, where A itself is singular, so no elimination runs
-    through A (Govaerts 2000).  Raises ``SingularBorderError`` when the
-    factorization meets an exactly zero pivot or the backward error of the
-    solution exceeds ``tol``.
+    One ``factor_bordered`` factor, used once; see there for the errors.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    b_row = np.asarray(b_row, dtype=float).ravel()
-    rhs_f = np.asarray(rhs_f, dtype=float).ravel()
-    n = op.dim
-    if not (c.shape[0] == b_row.shape[0] == rhs_f.shape[0] == n):
-        raise ValueError("border/rhs length mismatch")
-
-    full = sp.bmat([[op.matrix, sp.csr_matrix(c.reshape(-1, 1))],
-                    [sp.csr_matrix(b_row), sp.csr_matrix([[d]])]])
-    rhs = np.append(rhs_f, rhs_g)
-    try:
-        sol = _factorized(full)(rhs)
-    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-        raise SingularBorderError(f"bordered system is singular: {exc}") from exc
-    x, y = sol[:n], float(sol[n])
-
-    res = np.linalg.norm(full @ sol - rhs)
-    ref = (np.linalg.norm(rhs)
-           + (np.linalg.norm(c) + np.linalg.norm(b_row) + abs(d) + op.scale())
-           * np.linalg.norm(sol))
-    if not res <= tol * ref:
-        raise SingularBorderError("bordered system is numerically singular",
-                                  condition_estimate=ref / res)
-    return x, y
+    return factor_bordered(op, c, b_row, d, tol)(rhs_f, rhs_g)
 
 
 def smallest_eigenpair(op: LinearOperator, tol: float) -> tuple[float, np.ndarray]:

@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridMismatchError
-from .linalg import LinearOperator, smallest_eigenpair
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,13 @@ def norm(grid: Grid, f: np.ndarray) -> float:
 
 
 def principal_laplacian_eigenvalue(grid: Grid) -> float:
-    """Smallest eigenvalue of -Delta_h; residual 1e-10 of the stencil scale."""
-    op = LinearOperator.from_matrix(grid.laplacian, weight=grid.node_weight)
-    delta, _ = smallest_eigenpair(op, tol=1e-10 * grid.stencil_scale)
-    return delta
+    """Smallest eigenvalue of -Delta_h, in closed form.
+
+    The stencil is a sum of 1-D stencils over the axes, so its smallest
+    eigenvalue is the sum of theirs, (2/h^2)(1 - cos(pi h / L)) per axis.
+    """
+    return sum((2.0 / h**2) * (1.0 - math.cos(math.pi * h / ext))
+               for h, ext in zip(grid.h, grid.extents))
 
 
 def interval_eigenvalue(grid: Grid, k: int = 1) -> float:

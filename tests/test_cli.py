@@ -8,7 +8,8 @@ import pytest
 from foldfinder import (build_grid, make_model, phi, stability_index,
                         stability_tolerance)
 from foldfinder.cli import (EXIT_INVALID_MODEL, EXIT_NO_CONVERGENCE, EXIT_OK,
-                            EXIT_USAGE, main, read_solution_csv)
+                            EXIT_USAGE, main, read_solution_csv,
+                            write_fold_csv)
 
 
 def run(args):
@@ -272,3 +273,16 @@ def test_solution_csv_round_trip(tmp_path, capsys):
     assert phi(state, 2.0) == pytest.approx(phi_reported, abs=1e-12)
     assert stability_index(state).delta == pytest.approx(delta_reported,
                                                          abs=1e-12)
+
+
+def test_fold_csv_matches_reference_formatter(tmp_path):
+    grid = build_grid("rectangle", (3, 4))
+    rng = np.random.default_rng(5)
+    u, v = rng.random((2, grid.n_nodes)), rng.standard_normal((2, grid.n_nodes))
+    out = tmp_path / "fold.csv"
+    write_fold_csv(str(out), grid, u, v)
+    lines = ["x,y,u_1,u_2,v_1,v_2"]
+    for j in range(grid.n_nodes):
+        row = [*grid.coords[j], *u[:, j], *v[:, j]]
+        lines.append(",".join("%.17g" % float(x) for x in row))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -255,6 +255,82 @@ def test_third_derivative_blocks_finite_difference(spec):
     assert np.linalg.norm(fd - exact) <= 1e-7 * np.linalg.norm(exact)
 
 
+@pytest.mark.parametrize("grid", [build_grid("interval", 31),
+                                  build_grid("rectangle", 15)],
+                         ids=["interval", "rectangle"])
+def test_one_factor_newton_step_matches_assembled_solve(grid):
+    # the step composed from the test function's bordered factor against
+    # the assembled [[H, F_lam], [g_u', g_lam]] system, at a stable state
+    # and at the midpoint of the continuation bracket, next to the fold
+    from foldfinder.energy import hessian_operator, phi_grad
+    from foldfinder.fold import _augmented_newton_step, _test_function_gradient
+    from foldfinder.linalg import factor_bordered, solve_bordered
+
+    spec = _abc()
+    branch = continue_branch(grid, spec, lam_start=1.0)
+    assert branch.fold_bracketed
+    (sa, sb), (ra, rb) = branch.states[-2:], branch.records[-2:]
+    points = [(branch.states[0], branch.records[0].lam),
+              (make_state(grid, spec, 0.5 * (sa.u + sb.u)),
+               0.5 * (ra.lam + rb.lam))]
+    for state, lam in points:
+        b = stability_index(state).eigenfield.ravel()
+        b /= np.linalg.norm(b)
+        hess = hessian_operator(state, lam)
+        f = phi_grad(state, lam).ravel()
+        f_lam = -(state.u ** (spec.q - 1.0)).ravel()
+        border = factor_bordered(hess, b, b, 0.0)
+        v, g = border(np.zeros(f.size), 1.0)
+        g_u, g_lam = _test_function_gradient(state, lam,
+                                             v.reshape(state.u.shape))
+        du, dlam = _augmented_newton_step(hess, border, f, g, v, f_lam,
+                                          g_u.ravel(), g_lam)
+        du_ref, dlam_ref = solve_bordered(hess, f_lam, g_u.ravel(), g_lam,
+                                          -f, -g)
+        assert np.linalg.norm(du - du_ref) <= 1e-10 * np.linalg.norm(du_ref)
+        assert dlam == pytest.approx(dlam_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("grid, certificate_factors",
+                         [(build_grid("interval", 31), 0),
+                          (build_grid("rectangle", 15), 1)],
+                         ids=["interval", "rectangle"])
+def test_moore_spence_factors_one_bordered_matrix_per_iterate(
+        monkeypatch, grid, certificate_factors):
+    # every evaluated iterate (accepted or not) builds one Hessian and
+    # factors one bordered matrix, whose factor also gives the Newton step;
+    # the eigen-certificate factors H - sigma I off the tridiagonal path
+    import foldfinder.fold as fold
+    import foldfinder.linalg as linalg
+
+    spec = _abc()
+    cand = cw_ascend(sublinear_state(grid, spec,
+                                     0.5 * upper_bound_lambda(spec, grid)))
+    sizes, iterates = [], []
+    real_factorized, real_hessian = linalg._factorized, fold.hessian_operator
+
+    def factorized(matrix):
+        sizes.append(matrix.shape[0])
+        return real_factorized(matrix)
+
+    def hessian(state, lam):
+        iterates.append(lam)
+        return real_hessian(state, lam)
+
+    monkeypatch.setattr(linalg, "_factorized", factorized)
+    monkeypatch.setattr(fold, "hessian_operator", hessian)
+    fp = fold_from_candidate(cand)
+    n = spec.m * grid.n_nodes
+    assert len(iterates) >= fp.newton_iterations > 1
+    assert sizes.count(n + 1) == len(iterates)
+    assert sizes.count(n) == certificate_factors
+    assert len(sizes) == len(iterates) + certificate_factors
+    # one merit value per accepted iterate, the last within the stop test
+    assert len(fp.history) == fp.newton_iterations
+    assert fp.residuals[0] <= fp.history[-1] \
+        <= np.sqrt(2.0) * 1e-12 * grid.stencil_scale
+
+
 @pytest.mark.parametrize("spec", [abc_model(q=1.5, gamma=4.0),
                                   coupled_model(q=1.5)], ids=["m1", "m2"])
 @pytest.mark.parametrize("grid", [build_grid("interval", 7),

@@ -199,7 +199,7 @@ def _calls_bmat(tree: ast.AST) -> bool:
 
 def test_only_linalg_reaches_splu():
     # every factorization goes through linalg, so every solve is counted,
-    # and bordered matrices are assembled in solve_bordered alone
+    # and bordered matrices are assembled in factor_bordered alone
     pkg = Path(foldfinder.__file__).parent
     modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
     assert "linalg" in modules and "nehari" in modules

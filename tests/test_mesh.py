@@ -111,6 +111,14 @@ def test_principal_eigenvalue_small_grids():
         pytest.approx(32.0 * (1.0 - np.cos(np.pi / 4.0)), abs=1e-9)
 
 
+def test_principal_eigenvalue_rectangle_matches_dense():
+    # unequal sizes and extents: the closed form sums one term per axis
+    g = build_grid("rectangle", (5, 7), extents=(1.0, 2.0))
+    expect = np.linalg.eigvalsh(g.laplacian.toarray())[0]
+    assert principal_laplacian_eigenvalue(g) == pytest.approx(expect,
+                                                              rel=1e-12)
+
+
 def test_principal_eigenvalue_continuum_limit():
     lam = principal_laplacian_eigenvalue(build_grid("interval", 127))
     h = 1.0 / 128.0

@@ -63,7 +63,8 @@ def test_sublinear_closed_forms_count_every_solve(monkeypatch):
             calls.append(1)
             return self.lu.solve(b)
 
-    monkeypatch.setattr(spla, "splu", lambda a: Factor(real_splu(a)))
+    monkeypatch.setattr(spla, "splu",
+                        lambda a, **kw: Factor(real_splu(a, **kw)))
     grid = build_grid("interval", 1)
     for lam, expect in ((8.0, 1.0), (2.0, 0.0625)):
         calls.clear()
