@@ -2,8 +2,8 @@
 
 The branch starts at a small lambda on the stable (minimal) solutions and is
 continued until the stability index changes sign; the fold location is then
-recovered both by bisection on the index and by the augmented Newton solver,
-and cross-checked against the direct max-min ascent.
+recovered both by regula falsi on the index and by the augmented Newton
+solver, and cross-checked against the direct max-min ascent.
 """
 
 from foldfinder import (abc_model, build_grid, continue_branch, detect_fold,
@@ -22,7 +22,7 @@ for rec in branch.records[:: max(1, len(branch.records) // 12)]:
 
 det = detect_fold(grid, spec, branch)
 direct = find_fold_direct(grid, spec)
-print("bisection estimate      : %.12f" % det.lambda_bisect)
+print("regula falsi estimate   : %.12f" % det.lambda_bisect)
 print("augmented Newton        : %.12f" % det.lambda_moore_spence)
 print("direct max-min ascent   : %.12f" % direct.lam)
 print("method disagreement     : %.2e"

@@ -226,32 +226,58 @@ class FiberExpansion:
         return out
 
     def argmax(self) -> float | None:
-        """Location of the fiber maximum; None when the fiber is monotone."""
-        active = [(d, b) for d, b in zip(self.degrees, self.betas) if b > 0]
-        if not active:
-            return None
-        from scipy.optimize import brentq
-
-        # derivative * qn * t^(q-1) = (2-q) a - sum (d-q) b t^(d-2), decreasing
-        def psi(t):
-            return (2.0 - self.q) * self.a - sum(
-                (d - self.q) * b * t ** (d - 2.0) for d, b in active)
-
-        hi = 1.0
-        while psi(hi) > 0:
-            hi *= 2.0
-            if hi > 1e150:
-                return None
-        lo = hi / 2.0
-        while psi(lo) <= 0:
-            lo /= 2.0
-            if lo < 1e-150:
-                return None
-        return float(brentq(psi, lo, hi, rtol=8.9e-16, maxiter=200))
+        """Location of the fiber maximum, or None (see ``_fiber_peaks``)."""
+        t, _ = self._peak()
+        return None if math.isnan(t) else t
 
     def max_value(self) -> float:
-        t = self.argmax()
-        return math.inf if t is None else self.value(t)
+        """Fiber maximum; +inf wherever ``argmax`` is None."""
+        return self._peak()[1]
+
+    def _peak(self) -> tuple[float, float]:
+        t, value = _fiber_peaks(np.array([self.a]), np.array([self.qn]),
+                                self.q, self.degrees,
+                                np.array(self.betas).reshape(-1, 1))
+        return float(t[0]), float(value[0])
+
+
+def _fiber_peaks(a: np.ndarray, qn: np.ndarray, q: float,
+                 degrees: tuple[float, ...], betas: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax and maximum of t -> (a t^2 - sum_k beta_k t^(d_k)) / (qn t^q).
+
+    One fiber per ray: ``a`` and ``qn`` have shape (R,), ``betas`` (K, R);
+    a degree below 2 raises ValueError.  In s = log t the slope has the
+    sign of psi(s) = (2-q) a - sum_k (d_k-q) beta_k e^((d_k-2) s) over the
+    terms with beta_k > 0.  psi falls and is concave, so Newton from the
+    smallest single-term root, where psi <= 0, falls monotonically onto the
+    root with no bracket or damping.  A ray with no such term, a <= 0 or a
+    root beyond t = 1e+-150 has no interior maximum: t = nan, maximum +inf.
+    """
+    if any(dk < 2.0 for dk in degrees):
+        raise ValueError("fiber maxima need every degree to be at least 2")
+    d = np.asarray(degrees, dtype=float)[:, None]
+    active = betas > 0
+    ok = active.any(axis=0) & (a > 0)
+    # psi / ((2-q) a) = 1 - sum_k c_k e^((d_k-2) s)
+    c = np.where(active & ok, (d - q) * betas, 0.0) \
+        / ((2.0 - q) * np.where(ok, a, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):   # inactive: +inf
+        roots = -np.log(c) / (d - 2.0)
+    s = np.where(ok, roots.min(axis=0, initial=np.inf), 0.0)
+    for _ in range(100):
+        w = c * np.exp((d - 2.0) * s)
+        slope = np.where(ok, ((d - 2.0) * w).sum(axis=0), 1.0)
+        step = np.where(ok, (1.0 - w.sum(axis=0)) / slope, 0.0)
+        s += step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(s))):
+            break
+    ok &= np.abs(s) <= 345.0
+    t = np.where(ok, np.exp(s), np.nan)
+    value = (a / qn) * t ** (2.0 - q)
+    for dk, bk in zip(d[:, 0], betas):
+        value -= (bk / qn) * t ** (dk - q)
+    return t, np.where(ok, value, np.inf)
 
 
 def fiber_expansion(state: State, v: np.ndarray | None = None) -> FiberExpansion:

@@ -13,7 +13,9 @@ lambda correction, so lambda* does not depend on where it started.
 Continuation uses natural stepping with a secant predictor and switches
 to pseudo-arclength stepping (tangent predictor and corrector, both
 bordered solves) near the turning point; in both modes the step length
-adapts to the corrector's iteration count.
+adapts to the corrector's iteration count.  Regula falsi (the Illinois
+variant) on the stability index narrows the bracket around the sign
+change before the augmented Newton refines it.
 """
 
 from __future__ import annotations
@@ -418,15 +420,17 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          tol: float, max_iters: int = 12):
     """Newton corrector on {residual = 0, tangent plane through predictor}.
 
-    Fails when the iterate collapses onto the trivial solution u = 0, which
-    meets every tangent plane that is not parallel to the lambda axis.
+    Returns (ok, (state, lam, Newton steps taken)), counted as
+    ``newton_solve`` counts them.  Fails when the iterate collapses onto
+    the trivial solution u = 0, which meets every tangent plane that is
+    not parallel to the lambda axis.
     """
     tol_abs = tol * grid.stencil_scale
     u = _clip_cone(u_pred)
     sup0 = float(u.max())
     lam = lam_pred
     w = grid.node_weight
-    for it in range(1, max_iters + 1):
+    for it in range(max_iters):
         try:
             state = make_state(grid, spec, u)
             f1 = phi_grad(state, lam)
@@ -454,12 +458,17 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
 
 def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
                 tol: float = 1e-12) -> FoldDetection:
-    """Bisection on the stability sign change, cross-checked by refinement.
+    """Regula falsi on the stability sign change, cross-checked by refinement.
 
-    Returns both the bisection estimate and the augmented-Newton value from
-    the bracket midpoint; ``tol`` is the augmented-Newton tolerance (see
-    ``moore_spence_solve``).  Bisection stops once the bracket is 1e-9
-    relative wide.
+    Each step corrects onto the branch at the point of the chord where the
+    line through the two ends' weighted delta values vanishes, clipped to
+    [0.05, 0.95] of the chord; when the same end is replaced twice in a
+    row, the weight of the other end is halved (the Illinois rule).  The
+    search stops once the bracket is 1e-9 relative wide or |delta| is at
+    most 1e-12 times the stencil scale.  Returns both the secant estimate of
+    lambda at delta = 0 from the final bracket (``lambda_bisect``) and the
+    augmented-Newton value from the bracket midpoint; ``tol`` is the
+    augmented-Newton tolerance (see ``moore_spence_solve``).
     """
     idx = None
     for i in range(len(branch.records) - 1):
@@ -474,6 +483,7 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     da, db = branch.records[idx].delta, branch.records[idx + 1].delta
     bracket = (min(la, lb), max(la, lb))
 
+    fa, fb, last = da, db, 0     # Illinois weights; last end replaced
     for _ in range(80):
         du = sb.u - sa.u
         dlam = lb - la
@@ -481,18 +491,21 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
         if tnorm <= 1e-14 * max(abs(la), 1.0):
             break
         tu, tlam = du / tnorm, dlam / tnorm
-        u_mid = 0.5 * (sa.u + sb.u)
-        lam_mid = 0.5 * (la + lb)
-        ok, result = _arclength_corrector(grid, spec, u_mid, lam_mid, tu, tlam,
-                                          tol=1e-11)
+        t = min(max(fa / (fa - fb), 0.05), 0.95)
+        ok, result = _arclength_corrector(grid, spec, sa.u + t * du,
+                                          la + t * dlam, tu, tlam, tol=1e-11)
         if not ok:
             break
         st, lam_m, _ = result
         dm = stability_index(st).delta
         if dm > 0:
-            sa, la, da = st, lam_m, dm
+            if last == 1:
+                fb *= 0.5
+            sa, la, da, fa, last = st, lam_m, dm, dm, 1
         else:
-            sb, lb, db = st, lam_m, dm
+            if last == -1:
+                fa *= 0.5
+            sb, lb, db, fb, last = st, lam_m, dm, dm, -1
         if abs(la - lb) <= 1e-9 * max(abs(la), 1.0) or abs(dm) \
                 <= 1e-12 * grid.stencil_scale:
             break

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConeError, ConvergenceError, FiberEmptyError
 from .energy import (State, fiber_expansion, hessian_operator, make_state, phi,
@@ -92,13 +91,17 @@ def project_nehari(state: State, lam: float) -> float:
         raise FiberEmptyError(lam, f_max)
     if lam >= f_max * (1.0 - 1e-15):
         return float(t_max)
-    lo = t_max
-    while exp.value(lo) >= lam:
-        lo *= 0.5
-        if lo < 1e-150:
+    # bisection in s = log t on the rising side, below the maximum
+    hi = lo = math.log(t_max)
+    while exp.value(math.exp(lo)) >= lam:
+        lo -= math.log(2.0)
+        if lo < -345.0:                    # t below 1e-150
             raise FiberEmptyError(lam, f_max)
-    t = brentq(lambda s: exp.value(s) - lam, lo, t_max, rtol=8.9e-16, maxiter=200)
-    return float(t)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-15 * max(1.0, abs(mid)) and lo < mid < hi:
+        lo, hi = (mid, hi) if exp.value(math.exp(mid)) < lam else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return math.exp(mid)
 
 
 def _clip_cone(u: np.ndarray) -> np.ndarray:

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, CSV contracts, determinism."""
 
+import ast
 import csv
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foldfinder
 from foldfinder import (build_grid, make_model, phi, stability_index,
                         stability_tolerance)
 from foldfinder.cli import (EXIT_INVALID_MODEL, EXIT_NO_CONVERGENCE, EXIT_OK,
@@ -286,3 +293,45 @@ def test_fold_csv_matches_reference_formatter(tmp_path):
         row = [*grid.coords[j], *u[:, j], *v[:, j]]
         lines.append(",".join("%.17g" % float(x) for x in row))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _imports_scipy_optimize(tree):
+    """True if the module imports scipy.optimize anywhere, functions included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            names.append(node.module or "")
+        else:
+            continue
+        if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+               for n in names):
+            return True
+    return False
+
+
+def test_no_module_imports_scipy_optimize():
+    # the fiber maxima and roots come from the package's own kernels, and
+    # importing scipy.optimize would cost about a third of start-up
+    pkg = Path(foldfinder.__file__).parent
+    modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
+    assert "cw" in modules and "nehari" in modules
+    assert not [name for name in modules if _imports_scipy_optimize(
+        ast.parse((pkg / f"{name}.py").read_text()))]
+
+
+def test_warm_up_fold_leaves_scipy_optimize_unloaded(tmp_path):
+    script = (
+        "import sys\n"
+        "import foldfinder.cli as cli\n"
+        f"rc = cli.main(['fold', '--grid', 'interval:1', '--output', "
+        f"{str(tmp_path / 'fold.csv')!r}])\n"
+        "print(rc, any(m == 'scipy.optimize' or m.startswith('scipy.optimize.')"
+        " for m in sys.modules))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(foldfinder.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

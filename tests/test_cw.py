@@ -1,12 +1,16 @@
 """Nodewise max-min quotient engine and the a-priori bound."""
 
+import math
+
 import numpy as np
 import pytest
 
-from foldfinder import (abc_model, build_grid, coupled_model, cw_ascend,
-                        cw_value, find_fold_direct, make_state, rayleigh_nl,
-                        solve_nehari, sublinear_state, upper_bound_lambda,
-                        zero_model)
+from foldfinder import (FiberExpansion, ModelSpec, abc_model, build_grid,
+                        coupled_model, cw_ascend, cw_value, find_fold_direct,
+                        make_state, principal_laplacian_eigenvalue,
+                        rayleigh_nl, solve_nehari, sublinear_state,
+                        upper_bound_lambda, zero_model)
+from foldfinder.model import _simplex_rays, _term_partials
 
 
 def _one_node_state(value):
@@ -156,3 +160,103 @@ def test_upper_bound_and_fiber_values_are_python_floats():
         assert type(upper_bound_lambda(spec, grid)) is float
         state = make_state(grid, spec, np.ones((spec.m, 7)))
         assert type(fiber_expansion(state).max_value()) is float
+
+
+# --- the fiber-peak kernel against the scipy.optimize algorithm it replaced
+
+def _brentq_argmax(exp):
+    """Fiber argmax by bracketing and brentq on the slope; None if monotone."""
+    from scipy.optimize import brentq
+
+    active = [(d, b) for d, b in zip(exp.degrees, exp.betas) if b > 0]
+    if not active or exp.a <= 0:
+        return None
+
+    def psi(t):
+        return (2.0 - exp.q) * exp.a - sum(
+            (d - exp.q) * b * t ** (d - 2.0) for d, b in active)
+
+    hi = 1.0
+    while psi(hi) > 0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while psi(lo) <= 0:
+        lo /= 2.0
+    return brentq(psi, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+
+
+@pytest.mark.parametrize("a, qn, q, degrees, betas", [
+    (3.0, 1.2, 1.5, (4.0,), (0.7,)),
+    (50.0, 0.3, 1.3, (3.0, 6.0), (2.0, 0.01)),
+    (0.02, 2.0, 1.8, (2.5, 4.0, 7.5), (1.0, 3.0, 0.5)),
+    (4.0, 1.0, 1.6, (4.0, 3.0), (0.0, 1.5)),
+])
+def test_fiber_argmax_matches_brentq(a, qn, q, degrees, betas):
+    exp = FiberExpansion(a=a, qn=qn, q=q, degrees=degrees, betas=betas)
+    t_ref = _brentq_argmax(exp)
+    assert exp.argmax() == pytest.approx(t_ref, rel=1e-14)
+    assert exp.max_value() == pytest.approx(exp.value(t_ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("a, betas", [(3.0, (0.0, 0.0)), (-1.0, (0.5, 0.2))])
+def test_fiber_without_interior_maximum(a, betas):
+    exp = FiberExpansion(a=a, qn=1.0, q=1.5, degrees=(4.0, 3.0), betas=betas)
+    assert _brentq_argmax(exp) is None
+    assert exp.argmax() is None
+    assert exp.max_value() == math.inf
+
+
+def _reference_bound(spec, grid):
+    """Per-ray brentq maxima, then a bounded Brent polish for m = 2."""
+    from scipy.optimize import minimize_scalar
+
+    lam1 = principal_laplacian_eigenvalue(grid)
+    degrees = np.array(spec.degrees)
+
+    def ray_max(e):
+        se, sq = float(e.sum()), float((e ** (spec.q - 1.0)).sum())
+        if se <= 0 or sq <= 0:
+            return -math.inf
+        betas = degrees * _term_partials(spec, e, 0)
+        exp = FiberExpansion(a=lam1 * se, qn=sq, q=spec.q,
+                             degrees=spec.degrees, betas=tuple(betas.tolist()))
+        t = _brentq_argmax(exp)
+        return math.inf if t is None else exp.value(t)
+
+    rays = _simplex_rays(spec.m, count=257)
+    values = [ray_max(e) for e in rays]
+    best = max(values)
+    if spec.m == 2 and math.isfinite(best):
+        t0 = rays[int(np.argmax(values))][0]
+        res = minimize_scalar(lambda t: -ray_max(np.array([t, 1.0 - t])),
+                              bounds=(max(t0 - 0.05, 0.0), min(t0 + 0.05, 1.0)),
+                              method="bounded", options={"xatol": 1e-12})
+        best = max(best, -float(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("spec", [
+    abc_model(q=1.5, gamma=4.0),
+    coupled_model(q=1.418),
+    ModelSpec(m=3, q=1.5, terms=((0.25, (4.0, 0.0, 0.0)),
+                                 (0.5, (0.0, 4.0, 0.0)),
+                                 (0.3, (0.0, 0.0, 4.0)),
+                                 (1.0, (2.0, 1.0, 1.5)))),
+    ModelSpec(m=2, q=1.7, terms=((0.25, (4.0, 0.0)), (1.0, (2.5, 1.0)))),
+], ids=["abc", "coupled", "m3", "m2-edge-ray-inf"])
+def test_upper_bound_matches_per_ray_brentq_reference(spec):
+    grid = build_grid("interval", 63)
+    expect = _reference_bound(spec, grid)
+    got = upper_bound_lambda(spec, grid)
+    if math.isinf(expect):
+        assert got == expect
+    else:
+        assert got == pytest.approx(expect, rel=1e-14)
+
+
+def test_upper_bound_rejects_a_subquadratic_term():
+    # below degree 2 the fiber slope is no longer monotone in t, and the
+    # Newton start of the fiber-peak kernel is no longer right of its root
+    spec = ModelSpec(m=1, q=1.5, terms=((1.0, (1.8,)), (0.25, (4.0,))))
+    with pytest.raises(ValueError, match="degree"):
+        upper_bound_lambda(spec, build_grid("interval", 31))

@@ -197,6 +197,21 @@ def test_cross_method_agreement_medium_grid():
     assert abs(det.lambda_bisect - det.lambda_moore_spence) <= 1e-6 * fp.lam
 
 
+
+def test_detect_fold_regula_falsi_needs_few_stability_solves(monkeypatch):
+    # bisecting the bracket to 1e-9 took 13 stability solves here
+    import foldfinder.fold as fold
+
+    grid = build_grid("interval", 63)
+    branch = continue_branch(grid, _abc(), lam_start=1.0)
+    calls = []
+    real = fold.stability_index
+    monkeypatch.setattr(fold, "stability_index",
+                        lambda state: calls.append(1) or real(state))
+    det = detect_fold(grid, _abc(), branch)
+    assert len(calls) <= 8
+    assert det.agreement <= 1e-6 * det.lambda_moore_spence
+
 @pytest.mark.parametrize("spec, kind, n", [
     (abc_model(q=1.5, gamma=4.0), "interval", 63),
     # the last natural step lands 0.2% below the fold, and a secant
