@@ -84,7 +84,8 @@ def _parse_config_file(path: str, command: str) -> dict:
     allowed = _KEYS_BY_COMMAND[command]
     out = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     for ln, raw in enumerate(lines, start=1):
@@ -170,14 +171,21 @@ def _fmt(x) -> str:
     return _FLOAT_FMT % float(x)
 
 
-def _write_csv(path, header, rows):
-    """Comma-delimited, '.'-decimal CSV with 17-significant-digit floats."""
+def _write_csv(path, header, rows, row_format=None):
+    """Comma-delimited, '.'-decimal CSV with 17-significant-digit floats.
+
+    Rows whose cells are all floats can pass one ``row_format`` for every
+    row; it writes the bytes that formatting each cell would.
+    """
     sink = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        if row_format is None:
+            for row in rows:
+                writer.writerow([_fmt(x) for x in row])
+        else:
+            sink.write("".join(row_format % tuple(row) for row in rows))
     finally:
         if path:
             sink.close()
@@ -191,18 +199,19 @@ def _field_header(grid: Grid, m: int, names=("u",)) -> list[str]:
     return cols
 
 
-def _field_rows(grid: Grid, fields: list[np.ndarray]) -> list[list[float]]:
+def _write_fields(path, header, grid: Grid, fields: list[np.ndarray]) -> None:
     """One row per node: its coordinates, then each field's components."""
-    return np.column_stack([grid.coords, *(f.T for f in fields)]).tolist()
+    rows = np.column_stack([grid.coords, *(f.T for f in fields)]).tolist()
+    _write_csv(path, header, rows, ",".join([_FLOAT_FMT] * len(header)) + "\n")
 
 
 def write_solution_csv(path, grid: Grid, u: np.ndarray) -> None:
-    _write_csv(path, _field_header(grid, u.shape[0]), _field_rows(grid, [u]))
+    _write_fields(path, _field_header(grid, u.shape[0]), grid, [u])
 
 
 def write_fold_csv(path, grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
     header = _field_header(grid, u.shape[0], names=("u", "v"))
-    _write_csv(path, header, _field_rows(grid, [u, v]))
+    _write_fields(path, header, grid, [u, v])
 
 
 def read_solution_csv(path, grid: Grid, spec: ModelSpec) -> State:

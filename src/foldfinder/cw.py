@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import State, require_cone_interior, _fiber_peaks
-from .linalg import _factorized
+from .linalg import laplacian_solve
 from .mesh import Grid, apply_laplacian, principal_laplacian_eigenvalue
 from .model import ModelSpec, eval_g, _simplex_rays, _term_partials
 from .spectrum import StabilityResult, stability_index, stability_tolerance
@@ -121,7 +121,7 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
     lambda_cw after each rescale.
     """
     spec = init.spec
-    lap_solve = _factorized(init.grid.laplacian)
+    lap_solve = laplacian_solve(init.grid)
     state, cand, history, converged, it = init, cw_value(init), [], False, 0
     for it in range(1, max_iters + 1):
         t = _fiber_argmax(state)

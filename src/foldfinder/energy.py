@@ -134,7 +134,8 @@ def hessian_operator(state: State, lam: float) -> LinearOperator:
     """Linearization H phi = -Delta_h phi - G_uu(u) phi - lam (q-1) u^(q-2) phi.
 
     Fills a fresh data array into the grid's fixed pattern; only the index
-    arrays are shared between Hessians on one grid.
+    arrays are shared between Hessians on one grid.  The operator carries
+    its grid, so its factors reuse the pattern's ordering there.
     """
     require_cone_interior(state)
     g, u, q, m = state.grid, state.u, state.spec.q, state.spec.m
@@ -146,7 +147,7 @@ def hessian_operator(state: State, lam: float) -> LinearOperator:
     data[block_pos] += blocks
     mat = sp.csr_matrix((data, indices, indptr),
                         shape=(m * g.n_nodes, m * g.n_nodes))
-    return LinearOperator.from_matrix(mat, weight=g.node_weight)
+    return LinearOperator(mat, weight=g.node_weight, grid=g)
 
 
 def _sigma_denominator(state: State, v: np.ndarray) -> float:

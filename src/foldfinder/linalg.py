@@ -2,13 +2,23 @@
 
 This is the only module that factors a matrix, and ``_factorized`` is its
 only SuperLU binding: every triangular solve in the package goes through a
-factor it returns, and is counted in ``solve_counter``.  Every factor uses
-one column ordering, minimum degree on A' + A (``MMD_AT_PLUS_A``), which
-keeps the fill of the structurally symmetric stencil matrices low.
-``factor_bordered`` assembles and factors a bordered matrix once and
-returns a solve function, so one factor serves several right-hand sides;
-``solve_bordered`` is that factor used once.  The Newton and fixed-point
-loops elsewhere factor their own matrices through ``_factorized``.
+factor it returns, and is counted in ``solve_counter``.  ``_factorized``
+factors A - sigma I, or the bordered [[A, c], [b', d]], and scatters A's
+data, the shift and the border straight into CSC arrays.  Each pattern is
+ordered once per grid (George and Liu 1981; Davis 2006).  The first factor
+of a pattern on a grid runs SuperLU's minimum degree on A' + A
+(``MMD_AT_PLUS_A``).  Every later factor of that pattern on that grid is
+scattered into arrays whose rows and columns are already in that order,
+and factored in natural order: the same pivots and the same fill, without
+the ordering pass.  A Hessian, its shift H - sigma I and the grid
+Laplacian (the Hessian pattern for m = 1) share one ordering; a bordered
+pattern has its own.  An operator with no grid is ordered afresh at every
+factor.  ``laplacian_solve`` factors the grid Laplacian once per grid.
+The orderings and that factor are kept per grid and dropped with it.
+
+``factor_bordered`` factors a bordered matrix once and returns a solve
+function, so one factor serves several right-hand sides;
+``solve_bordered`` is that factor used once.
 
 ``smallest_eigenpair`` picks its path from the matrix pattern.  A
 tridiagonal matrix (a scalar model on an interval grid) goes to LAPACK's
@@ -20,6 +30,7 @@ H - sigma I and handed to ARPACK as the shift-invert operator.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +40,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, SingularBorderError
+from .mesh import Grid
 
 
 class _SolveCounter:
@@ -50,11 +62,16 @@ class LinearOperator:
     """Symmetric sparse operator on flat vectors.
 
     ``weight`` is the quadrature weight of the underlying grid so residual
-    norms agree with the grid norms.
+    norms agree with the grid norms.  ``grid``, when given, is the grid
+    whose fixed pattern the matrix has: its factors reuse that pattern's
+    ordering.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
     weight: float = 1.0
+    grid: Grid | None = field(default=None, repr=False, compare=False)
+    _scale: float | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @classmethod
     def from_matrix(cls, matrix, weight: float = 1.0):
@@ -69,23 +86,120 @@ class LinearOperator:
 
     def scale(self) -> float:
         """Largest absolute row sum, used to scale shifts and tolerances."""
-        return float(abs(self.matrix).sum(axis=1).max())
+        if self._scale is None:
+            self._scale = float(abs(self.matrix).sum(axis=1).max())
+        return self._scale
 
 
-def _factorized(matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """SuperLU factor of ``matrix`` as a solve function that counts its calls.
+# keyed by grid and dropped with it: {(dim, bordered): the column order, then
+# its _Pattern from the second factor on; "laplacian": solve}.  Nothing in a
+# value refers back to its grid.
+_ORDERINGS = weakref.WeakKeyDictionary()
 
-    Columns are ordered by minimum degree on the pattern of A' + A, which
-    suits the structurally symmetric matrices factored here: stencil
-    Hessians, H - sigma I and their bordered extensions.
+
+@dataclass
+class _Pattern:
+    """CSC arrays of the pattern with rows and columns in ``perm`` order.
+
+    ``pos`` gives the data offset of each source entry: A's stored
+    entries, the diagonal, then the border column, row and corner.
+    ``source`` is A's (indptr, indices); a later matrix must match it.
     """
-    lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+
+    perm: np.ndarray
+    pos: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    source: tuple
+
+    @classmethod
+    def build(cls, mat: sp.csr_matrix, bordered: bool, perm: np.ndarray):
+        n = mat.shape[0]
+        node = np.arange(n)
+        rows = [np.repeat(node, np.diff(mat.indptr)), node]
+        cols = [mat.indices, node]
+        if bordered:
+            rows += [node, np.full(n + 1, n)]
+            cols += [np.full(n, n), node, [n]]
+        size = n + bordered
+        rank = np.empty(size, dtype=np.int64)
+        rank[perm] = np.arange(size)
+        keys = (rank[np.concatenate(cols)] * size
+                + rank[np.concatenate(rows)])
+        # duplicates (a stored diagonal) share one offset and are summed
+        uniq, pos = np.unique(keys, return_inverse=True)
+        indptr = np.zeros(size + 1, dtype=np.intc)
+        np.cumsum(np.bincount(uniq // size, minlength=size), out=indptr[1:])
+        return cls(perm, pos, (uniq % size).astype(np.intc), indptr,
+                   (mat.indptr, mat.indices))
+
+    def assemble(self, data: np.ndarray) -> sp.csc_matrix:
+        size = self.indptr.shape[0] - 1
+        values = np.bincount(self.pos, weights=data,
+                             minlength=self.indices.shape[0])
+        return sp.csc_matrix((values, self.indices, self.indptr),
+                             shape=(size, size))
+
+    def matches(self, mat: sp.csr_matrix) -> bool:
+        indptr, indices = self.source
+        return (np.array_equal(indptr, mat.indptr)
+                and np.array_equal(indices, mat.indices))
+
+
+def _factorized(op: LinearOperator, shift: float = 0.0,
+                border: tuple | None = None
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """SuperLU factor of A - shift I, or of [[A, c], [b', d]] for a
+    ``border`` (c, b, d), as a solve function that counts its calls.
+
+    The first factor of a pattern on ``op.grid``, and every factor of an
+    operator with no grid, is ordered by minimum degree on A' + A.  The
+    grid keeps that order (``perm_c``, etree postorder included); later
+    factors of the pattern there are assembled in it and factored in
+    natural order, so SuperLU prefers the same diagonal pivots.
+    """
+    mat, n, bordered = op.matrix, op.dim, border is not None
+    parts = [mat.data, np.full(n, -shift)]
+    if bordered:
+        c, b_row, d = border
+        parts += [c, b_row, [d]]
+    data = np.concatenate(parts)
+    orderings = {} if op.grid is None else _ORDERINGS.setdefault(op.grid, {})
+    key = (n, bordered)
+    pattern = orderings.get(key)
+    if isinstance(pattern, np.ndarray):
+        # the arrays are laid out at the second factor, once the first one
+        # is usually released: its transients then raise no memory peak
+        pattern = orderings[key] = _Pattern.build(mat, bordered, pattern)
+    if pattern is not None and pattern.matches(mat):
+        lu = spla.splu(pattern.assemble(data), permc_spec="NATURAL")
+        perm = pattern.perm
+    else:
+        perm = np.arange(n + bordered)
+        natural = _Pattern.build(mat, bordered, perm)
+        lu = spla.splu(natural.assemble(data), permc_spec="MMD_AT_PLUS_A")
+        if pattern is None and op.grid is not None:
+            orderings[key] = np.argsort(lu.perm_c)
 
     def solve(b: np.ndarray) -> np.ndarray:
         solve_counter.value += 1
-        return lu.solve(b)
+        x = np.empty(b.shape)
+        x[perm] = lu.solve(b[perm])
+        return x
 
     return solve
+
+
+def laplacian_solve(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve function of the grid's -Delta_h, factored once per grid.
+
+    The factor is kept with the grid's orderings and dropped with the grid.
+    """
+    orderings = _ORDERINGS.setdefault(grid, {})
+    if "laplacian" not in orderings:
+        orderings["laplacian"] = _factorized(
+            LinearOperator(grid.laplacian, grid.node_weight, grid))
+    return orderings["laplacian"]
 
 
 def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
@@ -107,10 +221,8 @@ def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
     if not (c.shape[0] == b_row.shape[0] == n):
         raise ValueError("border length mismatch")
 
-    full = sp.bmat([[op.matrix, sp.csr_matrix(c.reshape(-1, 1))],
-                    [sp.csr_matrix(b_row), sp.csr_matrix([[d]])]])
     try:
-        lu = _factorized(full)
+        lu = _factorized(op, border=(c, b_row, d))
     except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
         raise SingularBorderError(f"bordered system is singular: {exc}") from exc
     size = np.linalg.norm(c) + np.linalg.norm(b_row) + abs(d) + op.scale()
@@ -121,12 +233,13 @@ def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
             raise ValueError("rhs length mismatch")
         rhs = np.append(rhs_f, rhs_g)
         sol = lu(rhs)
-        res = np.linalg.norm(full @ sol - rhs)
+        x, y = sol[:n], sol[n]
+        res = np.linalg.norm(np.append(op(x) + y * c, b_row @ x + d * y) - rhs)
         ref = np.linalg.norm(rhs) + size * np.linalg.norm(sol)
         if not res <= tol * ref:
             raise SingularBorderError("bordered system is numerically singular",
                                       condition_estimate=ref / res)
-        return sol[:n], float(sol[n])
+        return x, float(y)
 
     return solve
 
@@ -167,8 +280,8 @@ def smallest_eigenpair(op: LinearOperator, tol: float) -> tuple[float, np.ndarra
         diag = mat.diagonal()
         row_abs = np.ravel(abs(mat).sum(axis=1))
         lower = float((diag - (row_abs - np.abs(diag))).min())
-        sigma = lower - 1e-4 * max(op.scale(), 1.0)
-        solve = _factorized(mat - sigma * sp.eye(n))
+        sigma = lower - 1e-4 * max(float(row_abs.max()), 1.0)
+        solve = _factorized(op, shift=sigma)
         shift_invert = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         v0 = np.random.default_rng(12345).standard_normal(n)
         try:

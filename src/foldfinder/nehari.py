@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConeError, ConvergenceError, FiberEmptyError
 from .energy import (State, fiber_expansion, hessian_operator, make_state, phi,
                      phi_grad)
-from .linalg import _factorized
+from .linalg import _factorized, laplacian_solve
 from .mesh import Grid, norm
 from .model import ModelSpec, zero_model
 from .spectrum import stability_index, stability_tolerance
@@ -50,7 +50,7 @@ def solve_sublinear(grid: Grid, q: float, lam: float,
         raise ValueError("lambda must be positive")
     if not 1.0 < q < 2.0:
         raise ValueError("q must lie in (1, 2)")
-    lap_solve = _factorized(grid.laplacian)
+    lap_solve = laplacian_solve(grid)
     w = np.full(grid.n_nodes, 1.0)
     for _ in range(max_iters):
         w_new = lap_solve(lam * w ** (q - 1.0))
@@ -129,7 +129,7 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
         if rn <= tol_abs:
             return state, True, it, rn
         hess = hessian_operator(state, lam)
-        step = _factorized(hess.matrix)(-res.ravel()).reshape(res.shape)
+        step = _factorized(hess)(-res.ravel()).reshape(res.shape)
         alpha, accepted = 1.0, False
         for _ in range(30):
             u_try = _clip_cone(state.u + alpha * step)
@@ -164,7 +164,7 @@ def solve_nehari(grid: Grid, spec: ModelSpec, lam: float,
     tol_abs = tol * grid.stencil_scale
     if init is None:
         init = sublinear_state(grid, spec, lam)
-    lap_solve = _factorized(grid.laplacian)
+    lap_solve = laplacian_solve(grid)
 
     u = _clip_cone(init.u.copy())
     state = make_state(grid, spec, u)

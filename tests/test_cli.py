@@ -23,13 +23,18 @@ def run(args):
     return main(args)
 
 
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_solve_exit_zero_and_row_count(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     code = run(["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
                 "--grid", "interval:127", "--lambda", "1.0",
                 "-o", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.reader(open(out)))
+    rows = _read_rows(out)
     assert rows[0] == ["x", "u_1"]
     assert len(rows) == 128
     summary = capsys.readouterr().out
@@ -58,7 +63,7 @@ def test_fold_one_node_closed_form(tmp_path, capsys):
     summary = capsys.readouterr().out
     value = float(summary.split("lambda_star=")[1].split()[0])
     assert value == pytest.approx(lam_star, abs=1e-9)
-    rows = list(csv.reader(open(out)))
+    rows = _read_rows(out)
     assert rows[0] == ["x", "u_1", "v_1"]
     assert float(rows[1][1]) == pytest.approx(np.sqrt(1.6), abs=1e-9)
 
@@ -95,7 +100,7 @@ def test_continue_branch_csv(tmp_path):
                 "--grid", "interval:15", "--lambda-start", "1.0",
                 "-o", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.reader(open(out)))
+    rows = _read_rows(out)
     assert rows[0] == ["lambda", "sup_norm", "energy", "delta",
                        "corrector_iters"]
     lams = [float(r[0]) for r in rows[1:]]
@@ -190,7 +195,7 @@ def test_bench_matrix(tmp_path):
     code = run(["bench", "--model", "abc", "--q", "1.5", "--gamma", "4",
                 "--grids", "7,15", "--methods", "direct", "-o", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.reader(open(out)))
+    rows = _read_rows(out)
     assert rows[0] == ["method", "grid_n", "lambda_star", "wall_seconds",
                        "linear_solves"]
     assert [r[:2] for r in rows[1:]] == [["direct", "7"], ["direct", "15"]]

@@ -324,9 +324,9 @@ def test_moore_spence_factors_one_bordered_matrix_per_iterate(
     sizes, iterates = [], []
     real_factorized, real_hessian = linalg._factorized, fold.hessian_operator
 
-    def factorized(matrix):
-        sizes.append(matrix.shape[0])
-        return real_factorized(matrix)
+    def factorized(op, shift=0.0, border=None):
+        sizes.append(op.dim + (border is not None))
+        return real_factorized(op, shift, border)
 
     def hessian(state, lam):
         iterates.append(lam)

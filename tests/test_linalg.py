@@ -1,18 +1,23 @@
 """The bordered solver, the principal eigenpair, and the single factor path."""
 
 import ast
+import gc
 import pkgutil
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import foldfinder
 from foldfinder import (LinearOperator, SingularBorderError, abc_model,
-                        build_grid, coupled_model, find_fold_direct,
-                        hessian_operator, make_state, smallest_eigenpair,
-                        solve_bordered, solve_counter)
+                        build_grid, coupled_model, factor_bordered,
+                        find_fold_direct, hessian_operator, make_state,
+                        smallest_eigenpair, solve_bordered, solve_counter,
+                        solve_nehari, sublinear_state, upper_bound_lambda)
+from foldfinder import linalg
 
 
 def _laplacian_operator(n):
@@ -199,7 +204,8 @@ def _calls_bmat(tree: ast.AST) -> bool:
 
 def test_only_linalg_reaches_splu():
     # every factorization goes through linalg, so every solve is counted,
-    # and bordered matrices are assembled in factor_bordered alone
+    # and no module assembles a bordered matrix block by block: linalg
+    # scatters it straight into the CSC arrays of its factor
     pkg = Path(foldfinder.__file__).parent
     modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
     assert "linalg" in modules and "nehari" in modules
@@ -208,4 +214,101 @@ def test_only_linalg_reaches_splu():
     binders = [name for name in modules if _reaches_splu(trees[name])]
     assert binders == ["linalg"]
     assemblers = [name for name in modules if _calls_bmat(trees[name])]
-    assert assemblers == ["linalg"]
+    assert assemblers == []
+
+
+_SPLU = spla.splu
+
+# Grids no other test builds (extents 1.5), so their orderings start empty;
+# an equal grid alive elsewhere would share its cache entry.
+_ORDERED_CASES = [("interval", 31, abc_model(q=1.5, gamma=4.0)),
+                  ("rectangle", 15, abc_model(q=1.5, gamma=4.0)),
+                  ("interval", 31, coupled_model(q=1.5))]
+_ORDERED_IDS = ["interval", "rectangle", "coupled"]
+
+
+def _record_splu(monkeypatch):
+    """Record (permc_spec, size, factor, matrix) of every SuperLU factor."""
+    calls, real = [], spla.splu
+
+    def splu(a, **kw):
+        lu = real(a, **kw)
+        calls.append((kw.get("permc_spec"), a.shape[0], lu, a))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", splu)
+    return calls
+
+
+def _fresh_factor(matrix):
+    return _SPLU(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+
+
+@pytest.mark.parametrize("kind, n, spec", _ORDERED_CASES, ids=_ORDERED_IDS)
+def test_reused_ordering_matches_fresh_factor(monkeypatch, kind, n, spec):
+    # once a pattern is ordered on a grid, its factors (H, H - sigma I and
+    # bordered, with c = b and c != b) reuse that ordering; their solves
+    # match a fresh minimum-degree factor and their fill is the same
+    grid = build_grid(kind, n, extents=1.5)
+    lam = 0.5 * upper_bound_lambda(spec, grid)
+    hess = [hessian_operator(sublinear_state(grid, spec, t * lam), t * lam)
+            for t in (0.5, 1.0)]
+    dim = hess[0].dim
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal(dim)
+    c, b_row = rng.standard_normal((2, dim))
+    sigma = -0.1 * hess[0].scale()
+    linalg._factorized(hess[0])
+    linalg._factorized(hess[0], border=(c, c, 0.0))
+    calls = _record_splu(monkeypatch)
+
+    def check(solve, matrix, rhs):
+        x = solve(rhs)
+        permc, _, lu, _ = calls[-1]
+        fresh = _fresh_factor(matrix)
+        expect = fresh.solve(rhs)
+        assert permc == "NATURAL" and lu.nnz == fresh.nnz
+        assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    for op in hess:
+        check(linalg._factorized(op), op.matrix, rhs)
+        check(linalg._factorized(op, shift=sigma),
+              op.matrix - sigma * sp.identity(dim), rhs)
+        for c_col, b, d in ((c, c, 0.0), (c, b_row, 0.3)):
+            full = sp.bmat([[op.matrix, c_col.reshape(-1, 1)],
+                            [b.reshape(1, -1), [[d]]]])
+            check(linalg._factorized(op, border=(c_col, b, d)), full,
+                  np.append(rhs, 1.0))
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("kind, n, spec", _ORDERED_CASES, ids=_ORDERED_IDS)
+def test_each_pattern_is_ordered_once_per_grid(monkeypatch, kind, n, spec):
+    # the Laplacian, the Hessians and their shifts share one ordering per
+    # component count, and the bordered matrices have one of their own;
+    # solve_sublinear, cw_ascend and solve_nehari share one Laplacian factor
+    grid = build_grid(kind, n, extents=1.5)
+    lap = np.sort(grid.laplacian.data)
+    calls = _record_splu(monkeypatch)
+    fp = find_fold_direct(grid, spec)
+    solve_nehari(grid, spec, 0.5 * fp.lam)
+    ordered = [size for permc, size, _, _ in calls if permc == "MMD_AT_PLUS_A"]
+    assert sorted(ordered) == sorted({size for _, size, _, _ in calls})
+    natural = {size for permc, size, _, _ in calls if permc == "NATURAL"}
+    assert spec.m * grid.n_nodes + 1 in natural
+    assert sum(np.array_equal(np.sort(a.data), lap)
+               for _, _, _, a in calls) == 1
+
+
+def test_orderings_are_dropped_with_their_grid():
+    grid = build_grid("rectangle", 15, extents=1.5)
+    spec = abc_model(q=1.5, gamma=4.0)
+    hess = hessian_operator(sublinear_state(grid, spec, 1.0), 1.0)
+    linalg._factorized(hess)
+    factor_bordered(hess, np.ones(hess.dim), np.ones(hess.dim), 0.0)
+    assert len(linalg._ORDERINGS[grid]) == 3   # H, bordered, Laplacian
+    ref = weakref.ref(grid)
+    del grid, hess
+    gc.collect()
+    assert ref() is None
+    assert build_grid("rectangle", 15, extents=1.5) not in linalg._ORDERINGS

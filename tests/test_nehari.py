@@ -63,6 +63,9 @@ def test_sublinear_closed_forms_count_every_solve(monkeypatch):
             calls.append(1)
             return self.lu.solve(b)
 
+        def __getattr__(self, attr):
+            return getattr(self.lu, attr)
+
     monkeypatch.setattr(spla, "splu",
                         lambda a, **kw: Factor(real_splu(a, **kw)))
     grid = build_grid("interval", 1)
