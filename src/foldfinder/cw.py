@@ -6,9 +6,10 @@ ratio (the classical Collatz-Wielandt form).  The outer maximization is the
 monotone Collatz-Wielandt fixed point, a nonlinear analogue of the inverse
 power method of Hein and Buehler (2010): rescale u along its fiber to the
 largest minimum ratio, then solve -Delta_h u_new = lambda_cw u^(q-1) + g(u)
-on one Laplacian factor.  It does not reach the exact max-min: from the
-sublinear state it stops at a stable branch solution below lambda*, and
-the augmented Newton of ``fold.moore_spence_solve`` closes the gap.
+on one Laplacian factor.  It does not reach the exact max-min: from a
+positive start such as the torsion function it stops at a stable branch
+solution below lambda*, and the augmented Newton of
+``fold.moore_spence_solve`` closes the gap.
 """
 
 from __future__ import annotations
@@ -67,13 +68,14 @@ def _fiber_argmax(state: State) -> float | None:
     """t > 0 that maximizes the minimum nodewise ratio along t -> t u.
 
     Node i's ratio is r_i(t) = a_i t^(2-q) - sum_k b_ki t^(d_k-q), with a_i
-    and b_ki the Laplacian and the k-th term of g at u over u_i^(q-1).  Its
-    slope has the sign of (2-q) a_i - sum_k (d_k-q) b_ki t^(d_k-2), which
-    falls in t, so each r_i rises then falls and so does their minimum:
-    bisection in log t on the slope of the minimizing node finds the argmax
-    to rounding.  Returns 1 when some a_i <= 0 (the minimum is then negative
-    and largest as t -> 0) and None when the minimum grows without bound
-    (no superlinear part).
+    and b_ki the Laplacian and the k-th term of g at u over u_i^(q-1): the
+    fiber profile of ``energy._fiber_peaks`` with qn = 1, so one call gives
+    every node's peak.  No r_i rises above its own peak, so if the node j
+    with the lowest peak is the minimizing node at its own argmax t_j, the
+    minimum peaks there too and t_j is the answer.  Otherwise the bisection
+    of ``_bisect_fiber_argmax`` finds it.  Returns 1 when some a_i <= 0 (the
+    minimum is then negative and largest as t -> 0) and None when the
+    minimum grows without bound (no superlinear part).
     """
     u, q = state.u.ravel(), state.spec.q
     den = u ** (q - 1.0)
@@ -82,7 +84,25 @@ def _fiber_argmax(state: State) -> float | None:
         return 1.0
     b = _term_partials(state.spec, state.u, 1).reshape(-1, u.size) / den
     d = np.array(state.spec.degrees)
+    if np.all(d >= 2.0):
+        t, peak = _fiber_peaks(a, np.ones(u.size), q, state.spec.degrees, b)
+        j = int(np.argmin(peak))
+        if math.isfinite(peak[j]):
+            r = a * t[j] ** (2.0 - q) - t[j] ** (d - q) @ b
+            if r[j] <= r.min():
+                return float(t[j])
+    return _bisect_fiber_argmax(a, b, d, q)
 
+
+def _bisect_fiber_argmax(a: np.ndarray, b: np.ndarray, d: np.ndarray,
+                         q: float) -> float | None:
+    """Argmax of min_i r_i(t) by bisection in s = log t (see ``_fiber_argmax``).
+
+    The slope of r_i has the sign of (2-q) a_i - sum_k (d_k-q) b_ki
+    t^(d_k-2), which falls in t, so each r_i rises then falls and so does
+    their minimum: bisection on the slope of the minimizing node finds the
+    argmax to rounding.  Returns None when no bracket exists below t = 1e150.
+    """
     def rising(s: float) -> bool:
         t = math.exp(s)
         i = int(np.argmin(a * t ** (2.0 - q) - t ** (d - q) @ b))
@@ -112,13 +132,13 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
     lambda_cw cannot fall.  The ascent stops once lambda_cw rises by at
     most 1e-8 relative; a fall is rounding noise, about 1e-9 relative on
     ``interval:255``.  It stops at a branch solution, not at the exact
-    max-min: from the sublinear state that solution is stable and lies
+    max-min: from the torsion function that solution is stable and lies
     below lambda*, and ``fold.moore_spence_solve`` closes the gap.  A start
     whose minimum ratio is negative takes its first step with lambda_cw
     clamped at 0.  With no superlinear part the fiber has no maximum, and
     the ascent stops at once with ``converged=False``.  The end point
-    carries its stability index; ``diagnostics["history"]`` lists
-    lambda_cw after each rescale.
+    carries its stability index, its eigenpair started from u;
+    ``diagnostics["history"]`` lists lambda_cw after each rescale.
     """
     spec = init.spec
     lap_solve = laplacian_solve(init.grid)
@@ -139,7 +159,7 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
         state = state.with_u(lap_solve(rhs.T).T)
     else:
         cand = cw_value(state)
-    cand.stability = stability_index(cand.state)
+    cand.stability = stability_index(cand.state, start=cand.state.u)
     cand.converged, cand.iterations = converged, it
     cand.diagnostics = {"stable_found": cand.stable, "history": history}
     return cand

@@ -28,11 +28,11 @@ import numpy as np
 from .errors import (ConeError, ConvergenceError, NoFoldError,
                      SingularBorderError)
 from .energy import State, hessian_operator, make_state, phi, phi_grad
-from .linalg import (LinearOperator, factor_bordered, smallest_eigenpair,
-                     solve_bordered)
+from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
+                     smallest_eigenpair, solve_bordered)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
-from .nehari import newton_solve, solve_nehari, sublinear_state, _clip_cone
+from .nehari import newton_solve, solve_nehari, _clip_cone
 from .cw import CwCandidate, cw_ascend, upper_bound_lambda
 from .spectrum import stability_index
 
@@ -163,8 +163,9 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     applied.  The residuals alone stop wherever the last iterate happens to
     land, which leaves lambda* depending on the starting point.  Converged
     points satisfy all three residual bounds (v at quadrature norm one),
-    carry the eigen-certificate and the merit history
-    sqrt(||F||^2 + g^2) of the start and each accepted iterate.
+    carry the eigen-certificate (Lanczos started from v), the number of
+    Newton steps applied and the merit history sqrt(||F||^2 + g^2) of the
+    start and each accepted iterate: one entry more than steps.
     """
     m, n = spec.m, grid.n_nodes
     scale = grid.stencil_scale
@@ -256,13 +257,13 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     k = int(np.argmax(np.abs(flat)))
     if flat[k] < 0:
         v = -v
-    delta, phi_eig = smallest_eigenpair(hess, tol=1e-10 * scale)
+    delta, phi_eig = smallest_eigenpair(hess, tol=1e-10 * scale, start=v)
     align = abs(w * float(phi_eig @ v.ravel()))
     hv = norm(grid, hess(v.ravel()).reshape(m, n))
     vv = w * float(v.ravel() @ v.ravel())
     return FoldPoint(state=state, v=v, lam=lam, delta=delta,
                      residuals=(norm(grid, f), hv, abs(vv - 1.0)),
-                     newton_iterations=it, eig_alignment=align,
+                     newton_iterations=it - 1, eig_alignment=align,
                      history=tuple(history))
 
 
@@ -281,18 +282,19 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
                      tol: float = 1e-12) -> FoldPoint:
     """Direct pipeline: Collatz-Wielandt ascent, then augmented Newton.
 
-    The ascent starts from the sublinear profile at half the a-priori
-    bound (its fiber rescale makes the result independent of that scale)
-    and stops at a stable branch solution below lambda*; the augmented
-    Newton climbs from there to the fold.  It converges to any singular
-    point, so an ascent that ends on an unstable state raises
-    ``ConvergenceError`` instead of seeding it.
+    The ascent starts from the torsion function L^-1 1, one solve on the
+    Laplacian factor it uses anyway (its fiber rescale makes the result
+    independent of scale), and stops at a stable branch solution below
+    lambda*; the augmented Newton climbs from there to the fold.  The
+    a-priori bound only decides whether a fold exists.  The augmented
+    Newton converges to any singular point, so an ascent that ends on an
+    unstable state raises ``ConvergenceError`` instead of seeding it.
     """
-    bound = upper_bound_lambda(spec, grid)
-    if not math.isfinite(bound):
+    if not math.isfinite(upper_bound_lambda(spec, grid)):
         raise NoFoldError("the a-priori bound is infinite; no fold exists")
+    torsion = laplacian_solve(grid)(np.ones(grid.n_nodes))
     try:
-        cand = cw_ascend(sublinear_state(grid, spec, 0.5 * bound))
+        cand = cw_ascend(make_state(grid, spec, np.tile(torsion, (spec.m, 1))))
     except ConeError as exc:
         raise ConvergenceError(f"ascent left the positive cone: {exc}") from exc
     if not cand.stable:

@@ -22,16 +22,18 @@ class StabilityResult:
     lambda_used: float
 
 
-def stability_index(state: State, tol: float = 1e-10) -> StabilityResult:
+def stability_index(state: State, tol: float = 1e-10,
+                    start: np.ndarray | None = None) -> StabilityResult:
     """delta(u): smallest eigenvalue of the Hessian at lambda = R(u, u).
 
-    ``tol`` is relative to the stencil scale.
+    ``tol`` is relative to the stencil scale; ``start``, a guess at the
+    eigenfield, goes to ``smallest_eigenpair``.
     """
     require_cone_interior(state)
     lam = rayleigh_nl(state)
     hess = hessian_operator(state, lam)
     tol_abs = tol * state.grid.stencil_scale
-    delta, phi_flat = smallest_eigenpair(hess, tol=tol_abs)
+    delta, phi_flat = smallest_eigenpair(hess, tol=tol_abs, start=start)
     return StabilityResult(delta=delta,
                            eigenfield=phi_flat.reshape(state.u.shape),
                            lambda_used=lam)

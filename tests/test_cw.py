@@ -10,6 +10,9 @@ from foldfinder import (FiberExpansion, ModelSpec, abc_model, build_grid,
                         make_state, principal_laplacian_eigenvalue,
                         rayleigh_nl, solve_nehari, sublinear_state,
                         upper_bound_lambda, zero_model)
+from foldfinder import cw
+from foldfinder.linalg import laplacian_solve
+from foldfinder.mesh import apply_laplacian
 from foldfinder.model import _simplex_rays, _term_partials
 
 
@@ -260,3 +263,87 @@ def test_upper_bound_rejects_a_subquadratic_term():
     spec = ModelSpec(m=1, q=1.5, terms=((1.0, (1.8,)), (0.25, (4.0,))))
     with pytest.raises(ValueError, match="degree"):
         upper_bound_lambda(spec, build_grid("interval", 31))
+
+
+# --- the closed-form fiber argmax against the bisection it short-cuts
+
+_M3 = ModelSpec(m=3, q=1.5, terms=((0.25, (4.0, 0.0, 0.0)),
+                                   (0.5, (0.0, 4.0, 0.0)),
+                                   (0.3, (0.0, 0.0, 4.0)),
+                                   (1.0, (2.0, 1.0, 1.5))))
+
+
+def _bisection_reference(state):
+    """The fiber argmax by bisection alone, from the nodewise coefficients."""
+    u, q = state.u.ravel(), state.spec.q
+    den = u ** (q - 1.0)
+    a = apply_laplacian(state.grid, state.u).ravel() / den
+    b = _term_partials(state.spec, state.u, 1).reshape(-1, u.size) / den
+    return cw._bisect_fiber_argmax(a, b, np.array(state.spec.degrees), q)
+
+
+def _spy_bisection(monkeypatch):
+    calls, real = [], cw._bisect_fiber_argmax
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cw, "_bisect_fiber_argmax", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [abc_model(q=1.5, gamma=4.0),
+                                  coupled_model(q=1.418), _M3],
+                         ids=["abc", "coupled", "m3"])
+@pytest.mark.parametrize("kind, n", [("interval", 1), ("interval", 31),
+                                     ("rectangle", 7), ("rectangle", (3, 4))],
+                         ids=["interval1", "interval31", "rectangle7",
+                              "rectangle3x4"])
+def test_fiber_argmax_shortcut_matches_bisection(monkeypatch, spec, kind, n):
+    # cone states u = L^-1 f with f > 0, so every Laplacian coefficient is
+    # positive, at scales over four decades
+    grid = build_grid(kind, n)
+    rng = np.random.default_rng(spec.m * grid.n_nodes)
+    lap_solve = laplacian_solve(grid)
+    states = [make_state(grid, spec, lap_solve(
+        rng.uniform(0.5, 1.5, (grid.n_nodes, spec.m))).T
+        * 10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(5)]
+    expect = [_bisection_reference(state) for state in states]
+    calls = _spy_bisection(monkeypatch)
+    got = [cw._fiber_argmax(state) for state in states]
+    assert len(calls) < len(states)            # the closed form answered
+    for t, t_ref in zip(got, expect):
+        assert t == pytest.approx(t_ref, rel=1e-14)
+
+
+def test_fiber_argmax_edge_returns():
+    # a node with L u <= 0 gives 1.0 and no superlinear part gives None,
+    # both as before the closed form
+    grid = build_grid("interval", 3)
+    dip = make_state(grid, abc_model(q=1.5, gamma=4.0),
+                     np.array([[1.0, 0.2, 1.0]]))
+    assert cw._fiber_argmax(dip) == 1.0
+    bump = make_state(grid, zero_model(q=1.5, m=1),
+                      np.array([[1.0, 1.5, 1.0]]))
+    assert _bisection_reference(bump) is None
+    assert cw._fiber_argmax(bump) is None
+
+
+def test_fiber_argmax_falls_back_to_bisection(monkeypatch):
+    # on interval:2 at u = (1, 0.56) with gamma = 10 node 1 has the lower
+    # ratio peak, but node 0's ratio lies below it there, so the closed
+    # form does not apply and the bisection answers
+    grid = build_grid("interval", 2)
+    spec = abc_model(q=1.5, gamma=10.0)
+    state = make_state(grid, spec, np.array([[1.0, 0.56]]))
+    calls = _spy_bisection(monkeypatch)
+    t = cw._fiber_argmax(state)
+    assert len(calls) == 1
+    assert t == _bisection_reference(state)
+
+    def min_ratio(s):
+        return cw_value(state.with_u(s * state.u)).lambda_cw
+
+    assert min_ratio(t) >= max(min_ratio(t * (1.0 - 1e-6)),
+                               min_ratio(t * (1.0 + 1e-6)))

@@ -52,7 +52,7 @@ def test_direct_one_node_closed_form(q, gamma):
     ("interval", 31, 8.99619164804791), ("rectangle", 15, 18.484036918648),
 ])
 def test_direct_fold_near_q_two(kind, n, lam_ref):
-    # the sublinear start lies far below the fold at q = 1.9, and an
+    # the ascent's start lies far below the fold at q = 1.9, and an
     # augmented Newton seeded there diverged
     grid, spec = build_grid(kind, n), abc_model(q=1.9, gamma=4.0)
     fp = find_fold_direct(grid, spec)
@@ -73,7 +73,7 @@ def test_fold_from_candidate_reuses_the_ascent_eigenpair(monkeypatch):
     grid, spec = build_grid("interval", 31), _abc()
     cand = cw_ascend(sublinear_state(grid, spec, 2.0))
     expect = moore_spence_solve(grid, spec, cand.state,
-                                stability_index(cand.state).eigenfield,
+                                cand.stability.eigenfield,
                                 cand.lambda_cw).lam
 
     def fail(state):
@@ -341,9 +341,50 @@ def test_moore_spence_factors_one_bordered_matrix_per_iterate(
     assert sizes.count(n) == certificate_factors
     assert len(sizes) == len(iterates) + certificate_factors
     # one merit value per accepted iterate, the last within the stop test
-    assert len(fp.history) == fp.newton_iterations
+    assert len(fp.history) == fp.newton_iterations + 1
     assert fp.residuals[0] <= fp.history[-1] \
         <= np.sqrt(2.0) * 1e-12 * grid.stencil_scale
+
+
+@pytest.mark.parametrize("kind, n, spec", [("rectangle", 15, _abc()),
+                                           ("interval", 31,
+                                            coupled_model(q=1.5))],
+                         ids=["rectangle", "coupled"])
+def test_direct_fold_factor_budget(monkeypatch, kind, n, spec):
+    # one direct fold factors the Laplacian once (torsion start and
+    # ascent), one bordered matrix per augmented-Newton evaluation and
+    # H - sigma I once per eigenpair (the candidate's stability and the
+    # fold certificate), and solves no fixed-lambda Newton system
+    import foldfinder.fold as fold
+    import foldfinder.linalg as linalg
+    import foldfinder.nehari as nehari
+
+    grid = build_grid(kind, n, extents=1.25)   # no factor kept for it yet
+    kinds, evaluations = [], []
+    real_factorized, real_hessian = linalg._factorized, fold.hessian_operator
+
+    def factorized(op, shift=0.0, border=None):
+        kinds.append("laplacian" if op.matrix is grid.laplacian
+                     else "bordered" if border is not None
+                     else "shifted" if shift else "hessian")
+        return real_factorized(op, shift, border)
+
+    def hessian(state, lam):
+        evaluations.append(lam)
+        return real_hessian(state, lam)
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("fixed-lambda Newton solve")
+
+    monkeypatch.setattr(linalg, "_factorized", factorized)
+    monkeypatch.setattr(fold, "hessian_operator", hessian)
+    monkeypatch.setattr(nehari, "newton_solve", no_newton)
+    monkeypatch.setattr(fold, "newton_solve", no_newton)
+    find_fold_direct(grid, spec)
+    assert kinds.count("laplacian") == 1
+    assert kinds.count("bordered") == len(evaluations) > 0
+    assert kinds.count("shifted") == 2
+    assert len(kinds) == len(evaluations) + 3
 
 
 @pytest.mark.parametrize("spec", [abc_model(q=1.5, gamma=4.0),

@@ -178,6 +178,26 @@ def test_smallest_eigenpair_near_degenerate_fold_state():
     assert delta == pytest.approx(expect, abs=tol)
 
 
+def test_started_eigenpair_matches_in_fewer_solves():
+    # started from the fold's null direction, shift-invert Lanczos finds the
+    # pair of the fixed random start in fewer solves, and reruns agree
+    grid = build_grid("rectangle", 15)
+    fp = find_fold_direct(grid, abc_model(q=1.5, gamma=4.0))
+    hess = hessian_operator(fp.state, fp.lam)
+    tol = 1e-10 * grid.stencil_scale
+    counts, pairs = [], []
+    for start in (None, fp.v, fp.v):
+        solve_counter.reset()
+        pairs.append(smallest_eigenpair(hess, tol=tol, start=start))
+        counts.append(solve_counter.value)
+    assert counts[1] == counts[2] < counts[0]
+    assert pairs[1][0] == pytest.approx(pairs[0][0], abs=tol)
+    assert grid.node_weight * pairs[0][1] @ pairs[1][1] \
+        == pytest.approx(1.0, abs=1e-8)
+    assert pairs[1][0] == pairs[2][0]
+    assert np.array_equal(pairs[1][1], pairs[2][1])
+
+
 def _reaches_splu(tree: ast.AST) -> bool:
     """True if the module imports from scipy.sparse.linalg or names splu."""
     for node in ast.walk(tree):
@@ -202,10 +222,22 @@ def _calls_bmat(tree: ast.AST) -> bool:
         for node in ast.walk(tree))
 
 
+def _splu_options(tree: ast.AST) -> list[bool]:
+    """For each splu call, whether it passes ``**_SUPERNODES``."""
+    return [any(kw.arg is None and isinstance(kw.value, ast.Name)
+                and kw.value.id == "_SUPERNODES" for kw in node.keywords)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "splu"]
+
+
 def test_only_linalg_reaches_splu():
     # every factorization goes through linalg, so every solve is counted,
     # and no module assembles a bordered matrix block by block: linalg
-    # scatters it straight into the CSC arrays of its factor
+    # scatters it straight into the CSC arrays of its factor.  Every splu
+    # call there passes the shared supernode options; SuperLU's defaults
+    # pad each factor with explicit zeros
     pkg = Path(foldfinder.__file__).parent
     modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
     assert "linalg" in modules and "nehari" in modules
@@ -215,6 +247,8 @@ def test_only_linalg_reaches_splu():
     assert binders == ["linalg"]
     assemblers = [name for name in modules if _calls_bmat(trees[name])]
     assert assemblers == []
+    options = _splu_options(trees["linalg"])
+    assert options and all(options)
 
 
 _SPLU = spla.splu
@@ -241,7 +275,8 @@ def _record_splu(monkeypatch):
 
 
 def _fresh_factor(matrix):
-    return _SPLU(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+    return _SPLU(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                 **linalg._SUPERNODES)
 
 
 @pytest.mark.parametrize("kind, n, spec", _ORDERED_CASES, ids=_ORDERED_IDS)
