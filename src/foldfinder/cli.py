@@ -20,14 +20,13 @@ import numpy as np
 
 from .cw import upper_bound_lambda
 from .energy import make_state, phi, phi_grad, hessian_operator, State
-from .errors import (ConvergenceError, FiberEmptyError, FoldFinderError,
-                     NoFoldError)
+from .errors import ConvergenceError, FoldFinderError, NoFoldError
 from .fold import (continue_branch, detect_fold, find_fold_direct,
                    _third_derivative_blocks)
 from .linalg import solve_counter
 from .mesh import Grid, build_grid, inner_product, norm
 from .model import ModelSpec, make_model, validate_hypotheses
-from .nehari import solve_nehari, solve_nehari_multistart
+from .nehari import solve_stable
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -53,14 +52,14 @@ class _Parser(argparse.ArgumentParser):
 
 _COMMON_KEYS = {"model", "q", "gamma", "m", "grid", "output"}
 _KEYS_BY_COMMAND = {
-    "solve": _COMMON_KEYS | {"lambda", "restarts", "init", "seed", "tol"},
+    "solve": _COMMON_KEYS | {"lambda", "init", "tol"},
     "fold": _COMMON_KEYS | {"method", "tol"},
     "continue": _COMMON_KEYS | {"lambda_start", "step", "max_records"},
     "bench": _COMMON_KEYS | {"grids", "methods"},
     "check": _COMMON_KEYS | {"seed"},
 }
 _FLOAT_KEYS = {"q", "gamma", "lambda", "lambda_start", "step", "tol"}
-_INT_KEYS = {"m", "restarts", "seed", "max_records"}
+_INT_KEYS = {"m", "seed", "max_records"}
 
 
 @dataclass
@@ -250,34 +249,19 @@ def cmd_solve(cfg: RunConfig) -> int:
     lam = float(cfg.require("lambda"))
     if lam <= 0:
         raise UsageError("lambda must be positive")
-    init_path = cfg.get("init")
-    # one solve from the given state: nothing to restart or to seed
-    for key in ("restarts", "seed"):
-        if init_path and key in cfg.values:
-            raise UsageError(f"option '{key}' does not apply with 'init'")
     bound = upper_bound_lambda(spec, grid)
     if lam > bound:
         print(f"lambda={_fmt(lam)} exceeds the solvability bound "
               f"{_fmt(bound)}: no positive solutions exist")
         return EXIT_NO_CONVERGENCE
-    tol = float(cfg.get("tol", 1e-11))
-    try:
-        if init_path:
-            source = f"from the init state {init_path}"
-            init = read_solution_csv(init_path, grid, spec)
-            winner = solve_nehari(grid, spec, lam, init=init, tol=tol)
-            winner = winner if winner.converged else None
-        else:
-            restarts = int(cfg.get("restarts", 8))
-            source = f"after {restarts} restarts"
-            winner, _ = solve_nehari_multistart(
-                grid, spec, lam, restarts=restarts,
-                seed=int(cfg.get("seed", 0)), tol=tol)
-    except FiberEmptyError as exc:
-        print(f"no admissible states at lambda={_fmt(lam)}: {exc}")
-        return EXIT_NO_CONVERGENCE
-    if winner is None:
-        print(f"no converged stable solution at lambda={_fmt(lam)} {source}")
+    init_path = cfg.get("init")
+    init = read_solution_csv(init_path, grid, spec) if init_path else None
+    winner = solve_stable(grid, spec, lam, init=init,
+                          tol=float(cfg.get("tol", 1e-11)))
+    if not winner.converged:
+        source = f" from the init state {init_path}" if init_path else ""
+        print(f"no converged stable solution at lambda={_fmt(lam)}{source}: "
+              f"{winner.message}")
         return EXIT_NO_CONVERGENCE
     write_solution_csv(cfg.get("output"), grid, winner.state.u)
     print(f"lambda={_fmt(lam)} phi={_fmt(winner.energy)} "
@@ -306,7 +290,7 @@ def cmd_fold(cfg: RunConfig) -> int:
         else:
             branch = continue_branch(grid, spec, lam_start=1.0)
             fp = detect_fold(grid, spec, branch, tol=tol).fold_point
-    except (ConvergenceError, NoFoldError, FiberEmptyError) as exc:
+    except (ConvergenceError, NoFoldError) as exc:
         print(f"fold search failed: {exc}")
         return EXIT_NO_CONVERGENCE
     write_fold_csv(cfg.get("output"), grid, fp.state.u, fp.v)
@@ -329,7 +313,7 @@ def cmd_continue(cfg: RunConfig) -> int:
         branch = continue_branch(grid, spec, lam_start=lam_start,
                                  step=float(cfg.get("step", 0.05)),
                                  max_records=int(cfg.get("max_records", 200)))
-    except (ConvergenceError, FiberEmptyError) as exc:
+    except ConvergenceError as exc:
         print(f"branch trace failed: {exc}")
         return EXIT_NO_CONVERGENCE
     header = ["lambda", "sup_norm", "energy", "delta", "corrector_iters"]
@@ -456,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve", help="solve at a fixed lambda")
     _add_common(p)
     p.add_argument("--lambda", dest="lambda", help="branch parameter")
-    p.add_argument("--restarts", help="multi-start count")
     p.add_argument("--init", help="solution CSV to use as initial state")
-    p.add_argument("--seed", help="seed for multi-start sampling")
     p.add_argument("--tol", help="relative solver tolerance")
 
     p = subs.add_parser("fold", help="locate the maximal fold point")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import State, require_cone_interior, _fiber_peaks
-from .linalg import laplacian_solve
 from .mesh import Grid, apply_laplacian, principal_laplacian_eigenvalue
 from .model import ModelSpec, eval_g, _simplex_rays, _term_partials
+from .nehari import _laplacian_step
 from .spectrum import StabilityResult, stability_index, stability_tolerance
 
 
@@ -127,7 +127,8 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
 
     Each step rescales u along its fiber to the largest minimum ratio
     lambda_cw (``_fiber_argmax``), then takes the Laplacian step
-    u <- L^-1 (lambda_cw u^(q-1) + g(u)) on one factor of the Laplacian.
+    u <- L^-1 (lambda_cw u^(q-1) + g(u)) of ``nehari._laplacian_step`` on
+    one factor of the Laplacian.
     Since L u >= lambda_cw u^(q-1) + g(u) nodewise, the step lowers u and
     lambda_cw cannot fall.  The ascent stops once lambda_cw rises by at
     most 1e-8 relative; a fall is rounding noise, about 1e-9 relative on
@@ -140,8 +141,6 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
     carries its stability index, its eigenpair started from u;
     ``diagnostics["history"]`` lists lambda_cw after each rescale.
     """
-    spec = init.spec
-    lap_solve = laplacian_solve(init.grid)
     state, cand, history, converged, it = init, cw_value(init), [], False, 0
     for it in range(1, max_iters + 1):
         t = _fiber_argmax(state)
@@ -154,9 +153,7 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
                 <= 1e-8 * abs(history[-1]):
             converged = True
             break
-        rhs = max(cand.lambda_cw, 0.0) * state.u ** (spec.q - 1.0) \
-            + eval_g(spec, state.u)
-        state = state.with_u(lap_solve(rhs.T).T)
+        state = _laplacian_step(state, max(cand.lambda_cw, 0.0))
     else:
         cand = cw_value(state)
     cand.stability = stability_index(cand.state, start=cand.state.u)

@@ -1,4 +1,4 @@
-"""Energy functional, its derivatives, Rayleigh quotients, and the fiber map.
+"""Energy functional, its derivatives, Rayleigh quotients, and fiber peaks.
 
 All pairings use the grid quadrature; the gradient pairing <grad u, grad v>
 is computed as <-Delta_h u, v>, which is exact summation by parts for the
@@ -9,7 +9,6 @@ anything else.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,7 @@ import scipy.sparse as sp
 from .errors import ConeError, SigmaError
 from .linalg import LinearOperator
 from .mesh import Grid, apply_laplacian, inner_product, norm
-from .model import ModelSpec, eval_G, eval_g, eval_g_jacobian, _term_partials
+from .model import ModelSpec, eval_G, eval_g, eval_g_jacobian
 
 CONE_FLOOR_REL = 1e-14
 
@@ -170,21 +169,6 @@ def rayleigh_ext(state: State, v: np.ndarray) -> float:
     return num / den
 
 
-def rayleigh_ext_grad_v(state: State, v: np.ndarray) -> np.ndarray:
-    """Field representing the v-derivative of R(u, .) at v.
-
-    Vanishes exactly when u is a discrete solution at lambda = R(u, v).
-    """
-    require_cone_interior(state)
-    g, u, q = state.grid, state.u, state.spec.q
-    v = np.asarray(v, dtype=float).reshape(u.shape)
-    den = _sigma_denominator(state, v)
-    r = rayleigh_ext(state, v)
-    num_field = (apply_laplacian(g, u) - eval_g(state.spec, u)
-                 - r * u ** (q - 1.0))
-    return num_field / den
-
-
 def rayleigh_nl(state: State) -> float:
     """Nonlinear Rayleigh quotient R(u) = R(u, u)."""
     g, u, q = state.grid, state.u, state.spec.q
@@ -194,52 +178,6 @@ def rayleigh_nl(state: State) -> float:
     num = inner_product(g, apply_laplacian(g, u), u) \
         - inner_product(g, eval_g(state.spec, np.abs(u)) * np.sign(u), u)
     return num / uq
-
-
-@dataclass(frozen=True)
-class FiberExpansion:
-    """Closed-form monomial expansion of t -> R(t v) along a direction v.
-
-    value(t) = (a t^2 - sum_k beta_k t^(d_k)) / (qn t^q); the exact expansion
-    avoids cancellation near the fiber maximum.
-    """
-
-    a: float                     # <-Delta_h v, v>
-    qn: float                    # int |v|^q
-    q: float
-    degrees: tuple[float, ...]
-    betas: tuple[float, ...]     # d_k c_k int term_k(v)
-
-    def value(self, t: float) -> float:
-        if t <= 0:
-            raise ValueError("fiber parameter t must be positive")
-        out = (self.a / self.qn) * t ** (2.0 - self.q)
-        for d, b in zip(self.degrees, self.betas):
-            out -= (b / self.qn) * t ** (d - self.q)
-        return out
-
-    def derivative(self, t: float) -> float:
-        if t <= 0:
-            raise ValueError("fiber parameter t must be positive")
-        out = (2.0 - self.q) * (self.a / self.qn) * t ** (1.0 - self.q)
-        for d, b in zip(self.degrees, self.betas):
-            out -= (d - self.q) * (b / self.qn) * t ** (d - self.q - 1.0)
-        return out
-
-    def argmax(self) -> float | None:
-        """Location of the fiber maximum, or None (see ``_fiber_peaks``)."""
-        t, _ = self._peak()
-        return None if math.isnan(t) else t
-
-    def max_value(self) -> float:
-        """Fiber maximum; +inf wherever ``argmax`` is None."""
-        return self._peak()[1]
-
-    def _peak(self) -> tuple[float, float]:
-        t, value = _fiber_peaks(np.array([self.a]), np.array([self.qn]),
-                                self.q, self.degrees,
-                                np.array(self.betas).reshape(-1, 1))
-        return float(t[0]), float(value[0])
 
 
 def _fiber_peaks(a: np.ndarray, qn: np.ndarray, q: float,
@@ -279,56 +217,3 @@ def _fiber_peaks(a: np.ndarray, qn: np.ndarray, q: float,
     for dk, bk in zip(d[:, 0], betas):
         value -= (bk / qn) * t ** (dk - q)
     return t, np.where(ok, value, np.inf)
-
-
-def fiber_expansion(state: State, v: np.ndarray | None = None) -> FiberExpansion:
-    """Expansion coefficients of the fiber through direction v (default u)."""
-    g, spec = state.grid, state.spec
-    v = state.u if v is None else np.asarray(v, dtype=float).reshape(state.u.shape)
-    if np.any(v < 0):
-        raise ConeError("fiber directions must lie in the positive cone")
-    w = g.node_weight
-    a = inner_product(g, apply_laplacian(g, v), v)
-    qn = w * float((v ** spec.q).sum())
-    if qn == 0.0:
-        raise SigmaError("fiber undefined along the zero direction")
-    betas = np.array(spec.degrees) * (w * _term_partials(spec, v, 0).sum(axis=1))
-    return FiberExpansion(a=a, qn=qn, q=spec.q,
-                          degrees=spec.degrees, betas=tuple(betas.tolist()))
-
-
-def fiber(state: State, t: float) -> tuple[float, float]:
-    """(R(t v), d/dt R(t v)) for the direction v stored in the state."""
-    exp = fiber_expansion(state)
-    return exp.value(t), exp.derivative(t)
-
-
-def rayleigh_direction_descent(state: State, v0: np.ndarray,
-                               max_iters: int = 100,
-                               tol: float = 1e-8) -> tuple[bool, list[float]]:
-    """Descent diagnostic on v -> R(u, v) with u fixed.
-
-    Returns (solution_like, gradient_norms).  At a discrete solution the
-    quotient is constant in v, so the v-gradient norm drops below
-    ``tol * stencil_scale`` immediately; otherwise the run flags u as a
-    non-solution.
-    """
-    g = state.grid
-    v = np.asarray(v0, dtype=float).reshape(state.u.shape).copy()
-    norms: list[float] = []
-    threshold = tol * g.stencil_scale
-    for _ in range(max_iters):
-        grad = rayleigh_ext_grad_v(state, v)
-        gn = norm(g, grad)
-        norms.append(gn)
-        if gn <= threshold:
-            return True, norms
-        step = 0.5 * norm(g, v) / max(gn, 1e-300)
-        v_new = v - step * grad
-        try:
-            if rayleigh_ext(state, v_new) >= rayleigh_ext(state, v):
-                break
-        except SigmaError:
-            break
-        v = v_new
-    return False, norms

@@ -19,17 +19,6 @@ class SigmaError(FoldFinderError, ValueError):
     """Test direction outside Sigma(u): the pairing with u^(q-1) vanishes."""
 
 
-class FiberEmptyError(FoldFinderError, RuntimeError):
-    """No fiber root with positive slope exists below the fiber maximum."""
-
-    def __init__(self, lam: float, fiber_max: float):
-        super().__init__(
-            f"fiber-empty: lambda={lam:.6g} exceeds the fiber maximum {fiber_max:.6g}"
-        )
-        self.lam = lam
-        self.fiber_max = fiber_max
-
-
 class ConvergenceError(FoldFinderError, RuntimeError):
     """An iteration hit its cap or diverged; carries the best iterate."""
 

@@ -32,7 +32,7 @@ from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
                      smallest_eigenpair, solve_bordered)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
-from .nehari import newton_solve, solve_nehari, _clip_cone
+from .nehari import newton_solve, solve_stable, _clip_cone
 from .cw import CwCandidate, cw_ascend, upper_bound_lambda
 from .spectrum import stability_index
 
@@ -332,9 +332,10 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
     iteration count (the arclength step capped at 0.1), and a failed
     corrector halves it.  Each record carries the stability index; tracing
     stops once delta changes sign (fold bracketed) or max_records is
-    reached.
+    reached.  The first record is ``solve_stable`` at lam_start, and its
+    ``corrector_iters`` counts that solve's Newton steps.
     """
-    rep = solve_nehari(grid, spec, lam_start, tol=tol)
+    rep = solve_stable(grid, spec, lam_start, tol=tol)
     if not rep.converged:
         raise ConvergenceError(
             f"initial solve failed at lambda={lam_start:g}: {rep.message}")

@@ -151,6 +151,16 @@ def principal_laplacian_eigenvalue(grid: Grid) -> float:
                for h, ext in zip(grid.h, grid.extents))
 
 
+def principal_laplacian_eigenvector(grid: Grid) -> np.ndarray:
+    """Eigenvector of that eigenvalue: prod_k sin(pi x_k / L_k) at the nodes.
+
+    Each 1-D stencil maps sin(pi x / L) sampled at the nodes to
+    (2/h^2)(1 - cos(pi h / L)) times itself, since sin vanishes at both ends.
+    """
+    return np.prod(np.sin(np.pi * grid.coords / np.array(grid.extents)),
+                   axis=1)
+
+
 def interval_eigenvalue(grid: Grid, k: int = 1) -> float:
     """Closed-form k-th Dirichlet stencil eigenvalue of a 1-D grid."""
     if grid.ndim != 1:

@@ -37,8 +37,3 @@ def stability_index(state: State, tol: float = 1e-10,
     return StabilityResult(delta=delta,
                            eigenfield=phi_flat.reshape(state.u.shape),
                            lambda_used=lam)
-
-
-def is_stable(state: State, tol: float = 1e-10) -> bool:
-    """delta(u) >= -tol_stab with the mesh-independent classification band."""
-    return stability_index(state, tol=tol).delta >= -stability_tolerance(state)

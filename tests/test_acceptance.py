@@ -14,10 +14,10 @@ from foldfinder import (ModelSpec, abc_model, build_grid, coupled_model,
                         cw_ascend, continue_branch, detect_fold,
                         find_fold_direct, hessian_operator, inner_product,
                         make_state, newton_solve, norm, phi, phi_grad,
-                        rayleigh_ext, rayleigh_nl, solve_nehari,
-                        solve_nehari_multistart, solve_sublinear,
-                        stability_index, sublinear_state, upper_bound_lambda,
-                        zero_model)
+                        rayleigh_ext, rayleigh_nl, solve_stable,
+                        solve_sublinear, stability_index,
+                        stability_tolerance, sublinear_state,
+                        upper_bound_lambda, zero_model)
 
 Q, GAMMA = 1.5, 4.0
 C1 = 8.0                                   # one-node stencil constant 2/h^2
@@ -82,12 +82,21 @@ def test_criterion_5_nonexistence_above_existence_below():
     grid = build_grid("interval", 31)
     lam_star = find_fold_direct(grid, _abc()).lam
 
-    # above the fold every solver attempt must fail
+    # above the fold every solver attempt must fail: the stable solve, and
+    # Newton from 50 seeded positive starts
     lam_hi = 1.02 * lam_star
-    winner, reports = solve_nehari_multistart(grid, _abc(), lam_hi,
-                                              restarts=50, seed=7)
-    multi_fail = winner is None and all(not r.converged for r in reports)
     init = sublinear_state(grid, _abc(), lam_hi)
+    multi_fail = not solve_stable(grid, _abc(), lam_hi).converged
+    for k in range(50):
+        start = init.u
+        if k > 0:
+            rng = np.random.default_rng(7 + k)
+            bump = rng.uniform(0.2, 3.0, size=init.u.shape)
+            start = 10.0 ** rng.uniform(-1.0, 1.0) * init.u * bump
+        state, conv, _, _ = newton_solve(grid, _abc(), lam_hi,
+                                         make_state(grid, _abc(), start))
+        multi_fail &= not (conv and stability_index(state).delta
+                           > stability_tolerance(state))
     _, newton_ok, _, _ = newton_solve(grid, _abc(), lam_hi, init)
     rng = np.random.default_rng(7)
     no_stable_above = True
@@ -116,14 +125,14 @@ def test_criterion_6_bound_chain():
         grid = build_grid("interval", n)
         lam_star = find_fold_direct(grid, spec).lam
         bound = upper_bound_lambda(spec, grid)
-        best_nehari = -np.inf
+        best_stable = -np.inf
         for lam in np.linspace(0.2, 0.95, 6) * lam_star:
-            report = solve_nehari(grid, spec, float(lam))
+            report = solve_stable(grid, spec, float(lam))
             if report.converged:
-                best_nehari = max(best_nehari, report.lam)
-        ok &= best_nehari <= lam_star + 1e-8 * lam_star
+                best_stable = max(best_stable, report.lam)
+        ok &= best_stable <= lam_star + 1e-8 * lam_star
         ok &= lam_star <= bound + 1e-8 * bound
-    _report("criterion 6 (Nehari lambda <= fold lambda <= upper bound)", ok)
+    _report("criterion 6 (stable lambda <= fold lambda <= upper bound)", ok)
 
 
 def test_criterion_7_formula_invariants():
@@ -143,7 +152,7 @@ def test_criterion_7_formula_invariants():
 
     # converged solutions: negative energy and sublinear comparison
     for lam in (2.0, 5.0):
-        report = solve_nehari(grid, spec, lam)
+        report = solve_stable(grid, spec, lam)
         ok &= report.converged and phi(report.state, lam) < 0.0
         w = solve_sublinear(grid, Q, lam)
         ok &= bool(np.all(report.state.u + 1e-8 >= w))

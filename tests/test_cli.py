@@ -173,15 +173,19 @@ def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
     ("fold", "seed", "3"), ("continue", "seed", "3"), ("bench", "seed", "3"),
     ("continue", "tol", "1e-6"), ("bench", "tol", "1e-6"),
     ("check", "tol", "1e-6"), ("fold", "restarts", "3"),
+    ("solve", "restarts", "3"), ("solve", "seed", "3"),
 ])
-def test_unused_seed_and_tol_rejected(tmp_path, command, key, value):
+def test_unused_seed_and_tol_rejected(tmp_path, capsys, command, key, value):
     # each command accepts seed and tol only where it uses them; fold runs
-    # one ascent, so it has no restarts
+    # one ascent and solve one deterministic solve, so neither has restarts
+    # or a seed.  The error names the key, not some other missing option
     assert run([command, "--model", "abc", "--grid", "interval:7",
                 f"--{key}", value]) == EXIT_USAGE
+    assert f"--{key}" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model = abc\n{key} = {value}\n")
     assert run([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_unknown_flag_usage_error():
@@ -231,7 +235,7 @@ def test_config_unknown_key_rejected(tmp_path):
 def test_deterministic_rerun_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
-            "--grid", "interval:31", "--lambda", "2.0", "--seed", "3"]
+            "--grid", "interval:31", "--lambda", "2.0"]
     assert run(args + ["-o", str(a)]) == EXIT_OK
     assert run(args + ["-o", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
@@ -243,19 +247,6 @@ def _solution_csv(tmp_path):
                 "--grid", "interval:7", "--lambda", "2.0",
                 "-o", str(out)]) == EXIT_OK
     return out
-
-
-@pytest.mark.parametrize("key, value", [("restarts", "3"), ("seed", "3")])
-def test_solve_init_rejects_restarts_and_seed(tmp_path, key, value):
-    # --init runs one solve from the given state: nothing restarts or seeds
-    init = _solution_csv(tmp_path)
-    args = ["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
-            "--grid", "interval:7", "--lambda", "2.0", "--init", str(init)]
-    assert run(args) == EXIT_OK
-    assert run(args + [f"--{key}", value]) == EXIT_USAGE
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    assert run(args + ["--config", str(cfg)]) == EXIT_USAGE
 
 
 def test_solve_init_failure_names_the_init_state(tmp_path, capsys):

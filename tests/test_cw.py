@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from foldfinder import (FiberExpansion, ModelSpec, abc_model, build_grid,
-                        coupled_model, cw_ascend, cw_value, find_fold_direct,
-                        make_state, principal_laplacian_eigenvalue,
-                        rayleigh_nl, solve_nehari, sublinear_state,
-                        upper_bound_lambda, zero_model)
+from foldfinder import (ModelSpec, abc_model, build_grid, coupled_model,
+                        cw_ascend, cw_value, find_fold_direct, make_state,
+                        principal_laplacian_eigenvalue, rayleigh_nl,
+                        solve_stable, sublinear_state, upper_bound_lambda,
+                        zero_model)
 from foldfinder import cw
+from foldfinder.energy import _fiber_peaks
 from foldfinder.linalg import laplacian_solve
 from foldfinder.mesh import apply_laplacian
 from foldfinder.model import _simplex_rays, _term_partials
@@ -43,7 +44,7 @@ def test_value_at_exact_solution_equals_lambda():
     grid = build_grid("interval", 21)
     spec = abc_model(q=1.5, gamma=4.0)
     lam = 3.0
-    report = solve_nehari(grid, spec, lam)
+    report = solve_stable(grid, spec, lam)
     cand = cw_value(report.state)
     assert cand.lambda_cw == pytest.approx(lam, abs=1e-7)
     assert cand.gap <= 1e-6 * grid.stencil_scale
@@ -156,28 +157,34 @@ def test_stable_candidates_respect_upper_bound():
 def test_upper_bound_and_fiber_values_are_python_floats():
     # numpy scalars here turn every comparison into a numpy bool, which
     # json cannot encode
-    from foldfinder import fiber_expansion
-
     grid = build_grid("interval", 7)
     for spec in (abc_model(q=1.5, gamma=4.0), coupled_model(q=1.5)):
         assert type(upper_bound_lambda(spec, grid)) is float
         state = make_state(grid, spec, np.ones((spec.m, 7)))
-        assert type(fiber_expansion(state).max_value()) is float
+        assert type(cw._fiber_argmax(state)) is float
 
 
 # --- the fiber-peak kernel against the scipy.optimize algorithm it replaced
 
-def _brentq_argmax(exp):
+def _fiber_value(a, qn, q, degrees, betas, t):
+    """R(t v) = (a t^2 - sum_k beta_k t^(d_k)) / (qn t^q), term by term."""
+    out = (a / qn) * t ** (2.0 - q)
+    for d, b in zip(degrees, betas):
+        out -= (b / qn) * t ** (d - q)
+    return out
+
+
+def _brentq_argmax(a, q, degrees, betas):
     """Fiber argmax by bracketing and brentq on the slope; None if monotone."""
     from scipy.optimize import brentq
 
-    active = [(d, b) for d, b in zip(exp.degrees, exp.betas) if b > 0]
-    if not active or exp.a <= 0:
+    active = [(d, b) for d, b in zip(degrees, betas) if b > 0]
+    if not active or a <= 0:
         return None
 
     def psi(t):
-        return (2.0 - exp.q) * exp.a - sum(
-            (d - exp.q) * b * t ** (d - 2.0) for d, b in active)
+        return (2.0 - q) * a - sum(
+            (d - q) * b * t ** (d - 2.0) for d, b in active)
 
     hi = 1.0
     while psi(hi) > 0:
@@ -188,6 +195,12 @@ def _brentq_argmax(exp):
     return brentq(psi, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
+def _one_fiber_peak(a, qn, q, degrees, betas):
+    t, peak = _fiber_peaks(np.array([a]), np.array([qn]), q, degrees,
+                           np.array(betas, dtype=float).reshape(-1, 1))
+    return float(t[0]), float(peak[0])
+
+
 @pytest.mark.parametrize("a, qn, q, degrees, betas", [
     (3.0, 1.2, 1.5, (4.0,), (0.7,)),
     (50.0, 0.3, 1.3, (3.0, 6.0), (2.0, 0.01)),
@@ -195,18 +208,19 @@ def _brentq_argmax(exp):
     (4.0, 1.0, 1.6, (4.0, 3.0), (0.0, 1.5)),
 ])
 def test_fiber_argmax_matches_brentq(a, qn, q, degrees, betas):
-    exp = FiberExpansion(a=a, qn=qn, q=q, degrees=degrees, betas=betas)
-    t_ref = _brentq_argmax(exp)
-    assert exp.argmax() == pytest.approx(t_ref, rel=1e-14)
-    assert exp.max_value() == pytest.approx(exp.value(t_ref), rel=1e-14)
+    t_ref = _brentq_argmax(a, q, degrees, betas)
+    t, peak = _one_fiber_peak(a, qn, q, degrees, betas)
+    assert t == pytest.approx(t_ref, rel=1e-14)
+    assert peak == pytest.approx(_fiber_value(a, qn, q, degrees, betas, t_ref),
+                                 rel=1e-14)
 
 
 @pytest.mark.parametrize("a, betas", [(3.0, (0.0, 0.0)), (-1.0, (0.5, 0.2))])
 def test_fiber_without_interior_maximum(a, betas):
-    exp = FiberExpansion(a=a, qn=1.0, q=1.5, degrees=(4.0, 3.0), betas=betas)
-    assert _brentq_argmax(exp) is None
-    assert exp.argmax() is None
-    assert exp.max_value() == math.inf
+    assert _brentq_argmax(a, 1.5, (4.0, 3.0), betas) is None
+    t, peak = _one_fiber_peak(a, 1.0, 1.5, (4.0, 3.0), betas)
+    assert math.isnan(t)
+    assert peak == math.inf
 
 
 def _reference_bound(spec, grid):
@@ -220,11 +234,10 @@ def _reference_bound(spec, grid):
         se, sq = float(e.sum()), float((e ** (spec.q - 1.0)).sum())
         if se <= 0 or sq <= 0:
             return -math.inf
-        betas = degrees * _term_partials(spec, e, 0)
-        exp = FiberExpansion(a=lam1 * se, qn=sq, q=spec.q,
-                             degrees=spec.degrees, betas=tuple(betas.tolist()))
-        t = _brentq_argmax(exp)
-        return math.inf if t is None else exp.value(t)
+        betas = tuple((degrees * _term_partials(spec, e, 0)).tolist())
+        t = _brentq_argmax(lam1 * se, spec.q, spec.degrees, betas)
+        return math.inf if t is None else _fiber_value(
+            lam1 * se, sq, spec.q, spec.degrees, betas, t)
 
     rays = _simplex_rays(spec.m, count=257)
     values = [ray_max(e) for e in rays]

@@ -1,13 +1,13 @@
-"""Energy functional, quotients, and the scalar fiber map."""
+"""Energy functional, quotients, and the fiber-peak kernel."""
 
 import numpy as np
 import pytest
 
-from foldfinder import (abc_model, build_grid, coupled_model, fiber,
-                        fiber_expansion, hessian_operator, inner_product,
-                        make_state, norm, phi, phi_grad,
-                        rayleigh_direction_descent, rayleigh_ext,
-                        rayleigh_ext_grad_v, rayleigh_nl, solve_nehari)
+from foldfinder import (abc_model, apply_laplacian, build_grid, coupled_model,
+                        hessian_operator, inner_product, make_state, norm,
+                        phi, phi_grad, rayleigh_ext, rayleigh_nl)
+from foldfinder.energy import _fiber_peaks
+from foldfinder.model import _term_partials
 
 
 def _one_node(value=1.0):
@@ -137,77 +137,49 @@ def test_rayleigh_nl_phi_criterion():
     assert abs(pairing2) > 1e-6
 
 
-def test_grad_v_vanishes_at_solutions():
-    _, _, state = _one_node()
-    np.testing.assert_allclose(rayleigh_ext_grad_v(state, np.array([[1.0]])),
-                               [[0.0]], atol=1e-13)
-    grid = build_grid("interval", 15)
-    spec = abc_model(q=1.5, gamma=4.0)
-    report = solve_nehari(grid, spec, 2.0)
-    assert report.converged
-    rng = np.random.default_rng(15)
-    for _ in range(3):
-        v = 0.5 + rng.random((1, 15))
-        gv = rayleigh_ext_grad_v(report.state, v)
-        assert norm(grid, gv) <= 1e-7 * grid.stencil_scale
+def _fiber_coefficients(state):
+    """(a, qn, betas) of R(t u) = (a t^2 - sum_k beta_k t^d_k) / (qn t^q)."""
+    grid, spec, u = state.grid, state.spec, state.u
+    w = grid.node_weight
+    a = inner_product(grid, apply_laplacian(grid, u), u)
+    qn = w * float((u ** spec.q).sum())
+    betas = np.array(spec.degrees) * w * _term_partials(spec, u, 0).sum(axis=1)
+    return a, qn, betas
 
 
-def test_grad_v_finite_difference():
-    grid, spec, state = _random_state(16, coupled=True)
-    rng = np.random.default_rng(17)
-    v = 0.5 + rng.random(state.u.shape)
-    xi = rng.standard_normal(state.u.shape)
-    eps = 1e-6
-    fd = (rayleigh_ext(state, v + eps * xi)
-          - rayleigh_ext(state, v - eps * xi)) / (2 * eps)
-    exact = inner_product(grid, rayleigh_ext_grad_v(state, v), xi)
-    assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1e-10)
+def _fiber_peak(state):
+    a, qn, betas = _fiber_coefficients(state)
+    t, peak = _fiber_peaks(np.array([a]), np.array([qn]), state.spec.q,
+                           state.spec.degrees, betas.reshape(-1, 1))
+    return float(t[0]), float(peak[0])
 
 
 def test_fiber_one_node_values():
+    # one node, u = 1: R(t) = 8 t^(1/2) - t^(5/2), which peaks at
+    # t^2 = 1.6 with the fold value
     _, _, state = _one_node()
-    value, slope = fiber(state, 1.0)
-    assert value == pytest.approx(7.0, abs=1e-13)
-    assert slope == pytest.approx(1.5, abs=1e-13)
-
-
-def test_fiber_derivative_positive_for_small_t():
-    grid, spec, state = _random_state(18)
-    for t in (1e-4, 1e-3, 1e-2):
-        _, slope = fiber(state, t)
-        assert slope > 0.0
-
-
-def test_fiber_derivative_finite_difference():
-    grid, spec, state = _random_state(19)
-    eps = 1e-6
-    for t in (0.3, 1.0, 2.0):
-        v_plus, _ = fiber(state, t + eps)
-        v_minus, _ = fiber(state, t - eps)
-        fd = (v_plus - v_minus) / (2 * eps)
-        _, slope = fiber(state, t)
-        assert abs(fd - slope) <= 1e-6 * max(abs(slope), 1e-8)
+    t, peak = _fiber_peak(state)
+    assert t == pytest.approx(np.sqrt(1.6), rel=1e-14)
+    assert peak == pytest.approx(8.0 * 1.6 ** 0.25 - 1.6 ** 1.25, rel=1e-14)
 
 
 def test_fiber_argmax_is_interior_maximum():
     grid, spec, state = _random_state(20)
-    exp = fiber_expansion(state)
-    t_star = exp.argmax()
-    assert exp.value(t_star) >= exp.value(0.9 * t_star)
-    assert exp.value(t_star) >= exp.value(1.1 * t_star)
-    assert abs(exp.derivative(t_star)) <= 1e-9 * abs(exp.value(t_star))
+    a, qn, betas = _fiber_coefficients(state)
+    q, d = spec.q, np.array(spec.degrees)
 
+    def value(t):
+        return (a * t ** (2.0 - q) - betas @ t ** (d - q)) / qn
 
-def test_direction_descent_flags():
-    # at a solution the v-gradient descends below tolerance
-    _, _, state = _one_node()
-    ok, history = rayleigh_direction_descent(state, np.array([[1.0]]))
-    assert ok
-    assert history[-1] <= 1e-8 * state.grid.stencil_scale
-    # at a non-solution the run flags failure
-    grid, spec, off = _random_state(21)
-    ok2, history2 = rayleigh_direction_descent(off, np.ones_like(off.u))
-    assert not ok2
+    def derivative(t):
+        return ((2.0 - q) * a * t ** (1.0 - q)
+                - betas @ ((d - q) * t ** (d - q - 1.0))) / qn
+
+    t_star, peak = _fiber_peak(state)
+    assert peak == pytest.approx(value(t_star), rel=1e-14)
+    assert value(t_star) >= value(0.9 * t_star)
+    assert value(t_star) >= value(1.1 * t_star)
+    assert abs(derivative(t_star)) <= 1e-9 * abs(value(t_star))
 
 
 def _hessian_reference(state, lam):

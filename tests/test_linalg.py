@@ -16,7 +16,7 @@ from foldfinder import (LinearOperator, SingularBorderError, abc_model,
                         build_grid, coupled_model, factor_bordered,
                         find_fold_direct, hessian_operator, make_state,
                         smallest_eigenpair, solve_bordered, solve_counter,
-                        solve_nehari, sublinear_state, upper_bound_lambda)
+                        solve_stable, sublinear_state, upper_bound_lambda)
 from foldfinder import linalg
 
 
@@ -321,12 +321,12 @@ def test_reused_ordering_matches_fresh_factor(monkeypatch, kind, n, spec):
 def test_each_pattern_is_ordered_once_per_grid(monkeypatch, kind, n, spec):
     # the Laplacian, the Hessians and their shifts share one ordering per
     # component count, and the bordered matrices have one of their own;
-    # solve_sublinear, cw_ascend and solve_nehari share one Laplacian factor
+    # cw_ascend and solve_stable share one Laplacian factor
     grid = build_grid(kind, n, extents=1.5)
     lap = np.sort(grid.laplacian.data)
     calls = _record_splu(monkeypatch)
     fp = find_fold_direct(grid, spec)
-    solve_nehari(grid, spec, 0.5 * fp.lam)
+    solve_stable(grid, spec, 0.5 * fp.lam)
     ordered = [size for permc, size, _, _ in calls if permc == "MMD_AT_PLUS_A"]
     assert sorted(ordered) == sorted({size for _, size, _, _ in calls})
     natural = {size for permc, size, _, _ in calls if permc == "NATURAL"}

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from foldfinder import (abc_model, build_grid, hessian_operator, inner_product,
-                        is_stable, make_state, rayleigh_nl, stability_index,
-                        sublinear_state, zero_model)
+from foldfinder import (abc_model, build_grid, cw_value, hessian_operator,
+                        inner_product, make_state, rayleigh_nl,
+                        stability_index, sublinear_state, zero_model)
 
 
 def _one_node(value):
@@ -36,16 +36,23 @@ def test_index_near_zero_at_fold_state():
     assert abs(stability_index(state).delta) <= 1e-6
 
 
+def _stable(state):
+    """``CwCandidate.stable`` of the state: delta >= -tol_stab."""
+    cand = cw_value(state)
+    cand.stability = stability_index(state)
+    return cand.stable
+
+
 def test_is_stable_classification():
     _, stable = _one_node(1.0)
-    assert is_stable(stable)
+    assert _stable(stable)
     _, unstable = _one_node(2.0)
     assert rayleigh_nl(unstable) == pytest.approx(8.0 * np.sqrt(2.0)
                                                   - 2.0 ** 2.5, abs=1e-12)
     assert stability_index(unstable).delta == pytest.approx(-6.0, abs=1e-10)
-    assert not is_stable(unstable)
+    assert not _stable(unstable)
     _, fold = _one_node(np.sqrt(1.6))
-    assert is_stable(fold)  # delta ~ 0 counts as stable within tolerance
+    assert _stable(fold)  # delta ~ 0 counts as stable within tolerance
 
 
 def test_quadratic_form_equivalence():
