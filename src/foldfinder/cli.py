@@ -215,7 +215,11 @@ def write_fold_csv(path, grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
 
 def read_solution_csv(path, grid: Grid, spec: ModelSpec) -> State:
     """Load a solution CSV back as an initial state on the given grid."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read solution file: {exc}")
+    with fh:
         reader = csv.reader(fh)
         header = next(reader)
         ncoord = 1 if grid.ndim == 1 else 2

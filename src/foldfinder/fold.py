@@ -12,16 +12,22 @@ Hessian.  Newton stops on the residuals and on the size of its next
 lambda correction, so lambda* does not depend on where it started.
 Continuation uses natural stepping with a secant predictor and switches
 to pseudo-arclength stepping (tangent predictor and corrector, both
-bordered solves) near the turning point; in both modes the step length
-adapts to the corrector's iteration count.  Regula falsi (the Illinois
-variant) on the stability index narrows the bracket around the sign
-change before the augmented Newton refines it.
+bordered solves) where the branch starts to turn away from the secant, or
+at the first failed or slow natural corrector; the natural step adapts to
+the corrector's iteration count, the arclength step to the size of the
+corrector's first Newton correction.  No record computes an eigenpair:
+the fold test is the sign of the lambda part of the branch tangent, which
+the arclength step solves for anyway, and a record's stability index is
+computed when first read.  Regula falsi (the Illinois variant) on the
+stability index narrows the bracket around the fold before the augmented
+Newton refines it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +35,12 @@ from .errors import (ConeError, ConvergenceError, NoFoldError,
                      SingularBorderError)
 from .energy import State, hessian_operator, make_state, phi, phi_grad
 from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
-                     smallest_eigenpair, solve_bordered)
+                     smallest_eigenpair)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_stable, _clip_cone
 from .cw import CwCandidate, cw_ascend, upper_bound_lambda
-from .spectrum import stability_index
+from .spectrum import StabilityResult, stability_index
 
 
 @dataclass
@@ -51,18 +57,41 @@ class FoldPoint:
 
 @dataclass
 class BranchRecord:
+    """One accepted point of a traced branch.
+
+    ``stability``, the principal eigenpair of ``state``, is computed the
+    first time it is read (one cold ``stability_index`` call) and kept;
+    ``delta`` reads it unless the record was made with ``known_delta``.
+    Continuation itself reads neither.
+    """
+
     lam: float
     sup_norm: float
     energy: float
-    delta: float
     corrector_iters: int
+    state: State = field(repr=False, compare=False)
+    known_delta: float | None = field(default=None, repr=False,
+                                      compare=False)
+
+    @cached_property
+    def stability(self) -> StabilityResult:
+        return stability_index(self.state)
+
+    @property
+    def delta(self) -> float:
+        if self.known_delta is not None:
+            return self.known_delta
+        return self.stability.delta
 
 
 @dataclass
 class Branch:
     records: list[BranchRecord] = field(default_factory=list)
-    states: list[State] = field(default_factory=list)
     fold_bracketed: bool = False
+
+    @property
+    def states(self) -> list[State]:
+        return [rec.state for rec in self.records]
 
 
 @dataclass
@@ -319,21 +348,49 @@ def _step_factor(iters: int) -> float:
     return 1.0 if iters == 4 else 0.7
 
 
+# Natural stepping ends once a corrector lands farther than _BEND times the
+# step from its secant predictor: the branch has started to turn.
+_BEND = 0.05
+
+# Pseudo-arclength step control (Allgower and Georg 1990, sec. 6.1): the
+# first Newton correction of a corrector is about half the branch curvature
+# times the step squared, so its ratio to the step grows with the step.
+_ALPHA = 0.15       # nominal ratio of the first correction to the step
+_ALPHA_MAX = 0.5    # a corrector whose ratio exceeds this stops at once
+_GROW = 1.7         # largest growth of the step after an accepted corrector
+
+
 def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                     step: float = 0.05, max_records: int = 200,
                     tol: float = 1e-11) -> Branch:
     """Trace the stable branch from lam_start until a fold is bracketed.
 
-    Natural-parameter stepping with a secant predictor; switches to
-    pseudo-arclength stepping, predicting along the branch tangent, when
-    the Newton corrector degrades or delta falls below a quarter of its
-    first value.  In both modes ``step`` is the initial step: after each
-    accepted corrector the step is scaled by ``_step_factor`` of its
-    iteration count (the arclength step capped at 0.1), and a failed
-    corrector halves it.  Each record carries the stability index; tracing
-    stops once delta changes sign (fold bracketed) or max_records is
-    reached.  The first record is ``solve_stable`` at lam_start, and its
-    ``corrector_iters`` counts that solve's Newton steps.
+    Natural-parameter stepping with a secant predictor; the step is scaled
+    by ``_step_factor`` of each accepted corrector's iteration count, and
+    ``step`` is the first one.  Natural stepping ends at the first
+    corrector that fails, needs more than six iterations, or lands farther
+    than _BEND times the step from its secant predictor, where the branch
+    starts to turn; so it tries at most one lambda beyond the fold.
+    Pseudo-arclength stepping follows, from a step of half the next natural
+    one: its predictor follows the branch tangent, and its step is scaled
+    by _ALPHA over the ratio of the corrector's first Newton correction to
+    the step (at most by _GROW).  A corrector whose ratio exceeds
+    _ALPHA_MAX stops after that first correction, one whose corrections
+    stop shrinking stops too, and a failed corrector halves the step.
+
+    The fold test is the tangent: at a simple fold its lambda part changes
+    sign together with det H (Allgower and Georg 1990), so a record whose
+    tangent, oriented along the step that reached it, has a nonpositive
+    lambda part lies past the fold.  The tangent comes from the corrector's
+    last bordered factor, or from one bordered factor after a natural step,
+    so the test costs no factor of its own.  Tracing stops there with
+    ``fold_bracketed`` set and the fold between the last two records; a
+    natural step that collapses onto u = 0 (sup norm at most 1e-8 of the
+    record before) stops it the same way.  Otherwise it stops after
+    max_records.  No record computes its stability index: ``delta`` is
+    computed when first read.  The first record is ``solve_stable`` at
+    lam_start, keeps that solve's delta, and its ``corrector_iters`` counts
+    that solve's Newton steps.
     """
     rep = solve_stable(grid, spec, lam_start, tol=tol)
     if not rep.converged:
@@ -341,28 +398,24 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
             f"initial solve failed at lambda={lam_start:g}: {rep.message}")
     branch = Branch()
 
-    def record(state: State, lam: float, iters: int) -> float:
-        stab = stability_index(state)
+    def record(state: State, lam: float, iters: int,
+               delta: float | None = None) -> None:
         branch.records.append(BranchRecord(
             lam=lam, sup_norm=state.sup, energy=phi(state, lam),
-            delta=stab.delta, corrector_iters=iters))
-        branch.states.append(state)
-        return stab.delta
+            corrector_iters=iters, state=state, known_delta=delta))
 
-    record(rep.state, lam_start, rep.iterations)
+    record(rep.state, lam_start, rep.iterations, rep.delta)
     prev: tuple[State, float] | None = None
     cur = (rep.state, lam_start)
     mode = "natural"
     dl = step
-    ds = step
+    tangent = border = None
 
     while len(branch.records) < max_records:
-        if branch.records[-1].delta < 0:
-            branch.fold_bracketed = True
-            break
         if mode == "natural":
             lam_new = cur[1] + dl
-            if prev is not None and cur[1] != prev[1]:
+            secant = prev is not None and cur[1] != prev[1]
+            if secant:
                 u_pred = cur[0].u + (cur[0].u - prev[0].u) * (dl / (cur[1] - prev[1]))
             else:
                 u_pred = cur[0].u
@@ -371,48 +424,57 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                 st, ok, iters, _ = newton_solve(grid, spec, lam_new, guess, tol=tol)
             except (ConeError, ConvergenceError):
                 ok, iters = False, 99
-            healthy = ok and iters <= 6
+            bend = 0.0
             if ok:
-                new_delta = record(st, lam_new, iters)
+                record(st, lam_new, iters)
+                if st.sup <= 1e-8 * cur[0].sup:
+                    branch.fold_bracketed = True
+                    break
+                if secant:
+                    bend = norm(grid, st.u - u_pred) / math.hypot(
+                        norm(grid, u_pred - cur[0].u), dl)
                 prev, cur = cur, (st, lam_new)
                 dl *= _step_factor(iters)
-                if not healthy or new_delta < 0.25 * branch.records[0].delta:
-                    mode = "arclength"
-                continue
-            dl *= 0.5
-            if dl < 1e-4 * step:
-                mode = "arclength"
+            if not ok or iters > 6 or bend > _BEND:
+                mode, ds = "arclength", 0.5 * dl
             continue
 
-        # pseudo-arclength: predict along the tangent at cur, the null
-        # vector of [H, dF/dlam] oriented by the secant.  A secant over a
-        # long natural step cuts across the turning point, and its plane
-        # can miss the branch.
-        if prev is None:
-            prev = (cur[0], cur[1] - 1e-3 * max(abs(cur[1]), 1.0))
-        du = cur[0].u - prev[0].u
-        dlam = cur[1] - prev[1]
-        if dlam == 0.0 and not du.any():
-            break
-        try:
-            tu, tlam = solve_bordered(
-                hessian_operator(cur[0], cur[1]),
-                -(cur[0].u ** (spec.q - 1.0)).ravel(),
-                grid.node_weight * du.ravel(), dlam, np.zeros(du.size), 1.0)
-        except SingularBorderError:
-            break
-        tu = tu.reshape(du.shape)
-        tnorm = math.sqrt(norm(grid, tu) ** 2 + tlam ** 2)
-        tu, tlam = tu / tnorm, tlam / tnorm
-        ok, result = _arclength_corrector(grid, spec, cur[0].u + ds * tu,
-                                          cur[1] + ds * tlam, tu, tlam, tol)
-        if ok:
-            st, lam_new, iters = result
+        # pseudo-arclength: predict along the unit tangent at cur, the null
+        # vector of [H, dF/dlam].  The corrector's last factor gives it,
+        # oriented along the tangent before; after a natural step, one
+        # bordered factor at cur gives it, oriented along the secant.  A
+        # secant over a long natural step cuts across the turning point,
+        # and its plane can miss the branch.
+        if tangent is None:
+            try:
+                if border is None:
+                    if prev is None:
+                        prev = (cur[0], cur[1] - 1e-3 * max(abs(cur[1]), 1.0))
+                    du = cur[0].u - prev[0].u
+                    border = factor_bordered(
+                        hessian_operator(cur[0], cur[1]),
+                        -(cur[0].u ** (spec.q - 1.0)).ravel(),
+                        grid.node_weight * du.ravel(), cur[1] - prev[1])
+                tu, tlam = border(np.zeros(cur[0].u.size), 1.0)
+            except SingularBorderError:
+                break
+            if tlam <= 0.0:
+                branch.fold_bracketed = True
+                break
+            tu = tu.reshape(cur[0].u.shape)
+            tnorm = math.sqrt(norm(grid, tu) ** 2 + tlam ** 2)
+            tangent = (tu / tnorm, tlam / tnorm)
+        tu, tlam = tangent
+        result, first = _arclength_corrector(
+            grid, spec, cur[0].u + ds * tu, cur[1] + ds * tlam, tu, tlam,
+            tol, max_first=_ALPHA_MAX * ds)
+        if result is not None:
+            st, lam_new, iters, border = result
             record(st, lam_new, iters)
-            prev, cur = cur, (st, lam_new)
-            ds = min(ds * _step_factor(iters), 0.1)
+            prev, cur, tangent = cur, (st, lam_new), None
+            ds *= min(_ALPHA * ds / max(first, 1e-300), _GROW)
         else:
-            ds = ds * 0.5
+            ds *= 0.5
             if ds < 1e-6:
                 break
     return branch
@@ -420,70 +482,90 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
 
 def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          lam_pred: float, tu: np.ndarray, tlam: float,
-                         tol: float, max_iters: int = 12):
+                         tol: float, max_iters: int = 12,
+                         max_first: float = math.inf):
     """Newton corrector on {residual = 0, tangent plane through predictor}.
 
-    Returns (ok, (state, lam, Newton steps taken)), counted as
-    ``newton_solve`` counts them.  Fails when the iterate collapses onto
-    the trivial solution u = 0, which meets every tangent plane that is
-    not parallel to the lambda axis.
+    Returns ((state, lam, Newton steps taken, border), first), the steps
+    counted as ``newton_solve`` counts them, ``border`` the solve function
+    of the last bordered factor (None when no step was taken) and ``first``
+    the length of the first Newton correction; the first item is None when
+    the corrector fails.  It fails when the iterate collapses onto the
+    trivial solution u = 0, which meets every tangent plane that is not
+    parallel to the lambda axis; at once when ``first`` exceeds
+    ``max_first``; and when a correction is not shorter than the one
+    before it.
     """
     tol_abs = tol * grid.stencil_scale
     u = _clip_cone(u_pred)
     sup0 = float(u.max())
     lam = lam_pred
     w = grid.node_weight
+    first = 0.0
+    last = math.inf
+    border = None
     for it in range(max_iters):
         try:
             state = make_state(grid, spec, u)
             f1 = phi_grad(state, lam)
         except ConeError:
-            return False, None
+            return None, first
         if state.sup <= 1e-8 * sup0:
-            return False, None
+            return None, first
         con = (w * float(tu.ravel() @ (u - u_pred).ravel())
                + tlam * (lam - lam_pred))
         if norm(grid, f1) <= tol_abs and abs(con) <= tol_abs:
-            return True, (state, lam, it)
+            return (state, lam, it, border), first
         hess = hessian_operator(state, lam)
         p = -(u ** (spec.q - 1.0)).ravel()   # dF/dlam
         try:
-            dx, dlam_step = solve_bordered(
-                hess, p, w * tu.ravel(), tlam, -f1.ravel(), -con)
+            border = factor_bordered(hess, p, w * tu.ravel(), tlam)
+            dx, dlam_step = border(-f1.ravel(), -con)
         except SingularBorderError:
-            return False, None
-        u = u + dx.reshape(u.shape)
+            return None, first
+        dx = dx.reshape(u.shape)
+        size = math.sqrt(norm(grid, dx) ** 2 + dlam_step ** 2)
+        if it == 0:
+            first = size
+            if first > max_first:
+                return None, first
+        elif size >= last:
+            return None, first
+        last = size
+        u = u + dx
         lam = lam + dlam_step
         if np.any(u <= 0):
             u = _clip_cone(u)
-    return False, None
+    return None, first
 
 
 def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
                 tol: float = 1e-12) -> FoldDetection:
     """Regula falsi on the stability sign change, cross-checked by refinement.
 
-    Each step corrects onto the branch at the point of the chord where the
-    line through the two ends' weighted delta values vanishes, clipped to
-    [0.05, 0.95] of the chord; when the same end is replaced twice in a
-    row, the weight of the other end is halved (the Illinois rule).  The
-    search stops once the bracket is 1e-9 relative wide or |delta| is at
-    most 1e-12 times the stencil scale.  Returns both the secant estimate of
-    lambda at delta = 0 from the final bracket (``lambda_bisect``) and the
-    augmented-Newton value from the bracket midpoint; ``tol`` is the
-    augmented-Newton tolerance (see ``moore_spence_solve``).
+    The bracket is the last two records of a branch that ``continue_branch``
+    marked ``fold_bracketed``; their delta is read there, and
+    ``NoFoldError`` is raised unless delta > 0 at the first and <= 0 at the
+    second.  Each step corrects onto the branch at the point of the chord
+    where the line through the two ends' weighted delta values vanishes,
+    clipped to [0.05, 0.95] of the chord; when the same end is replaced
+    twice in a row, the weight of the other end is halved (the Illinois
+    rule).  Its eigenpair starts from the eigenfield of the nearer end.
+    The search stops once the bracket is 1e-9 relative wide or |delta| is
+    at most 1e-12 times the stencil scale.  Returns both the secant
+    estimate of lambda at delta = 0 from the final bracket
+    (``lambda_bisect``) and the augmented-Newton value from the bracket
+    midpoint, bordered by the eigenfield of the end with the smaller
+    |delta|; ``tol`` is the augmented-Newton tolerance (see
+    ``moore_spence_solve``).
     """
-    idx = None
-    for i in range(len(branch.records) - 1):
-        if branch.records[i].delta > 0 and branch.records[i + 1].delta <= 0:
-            idx = i
-            break
-    if idx is None:
-        raise NoFoldError("branch contains no stability sign change")
-
-    sa, sb = branch.states[idx], branch.states[idx + 1]
-    la, lb = branch.records[idx].lam, branch.records[idx + 1].lam
-    da, db = branch.records[idx].delta, branch.records[idx + 1].delta
+    if not branch.fold_bracketed or len(branch.records) < 2:
+        raise NoFoldError("branch does not bracket a fold")
+    ends = branch.records[-2:]
+    if not ends[0].delta > 0 >= ends[1].delta:
+        raise NoFoldError("no stability sign change across the fold bracket")
+    (sa, la, da, ea), (sb, lb, db, eb) = (
+        (r.state, r.lam, r.delta, r.stability.eigenfield) for r in ends)
     bracket = (min(la, lb), max(la, lb))
 
     fa, fb, last = da, db, 0     # Illinois weights; last end replaced
@@ -495,20 +577,21 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
             break
         tu, tlam = du / tnorm, dlam / tnorm
         t = min(max(fa / (fa - fb), 0.05), 0.95)
-        ok, result = _arclength_corrector(grid, spec, sa.u + t * du,
-                                          la + t * dlam, tu, tlam, tol=1e-11)
-        if not ok:
+        result, _ = _arclength_corrector(grid, spec, sa.u + t * du,
+                                         la + t * dlam, tu, tlam, tol=1e-11)
+        if result is None:
             break
-        st, lam_m, _ = result
-        dm = stability_index(st).delta
+        st, lam_m = result[:2]
+        stab = stability_index(st, start=ea if t < 0.5 else eb)
+        dm = stab.delta
         if dm > 0:
             if last == 1:
                 fb *= 0.5
-            sa, la, da, fa, last = st, lam_m, dm, dm, 1
+            sa, la, da, ea, fa, last = st, lam_m, dm, stab.eigenfield, dm, 1
         else:
             if last == -1:
                 fa *= 0.5
-            sb, lb, db, fb, last = st, lam_m, dm, dm, -1
+            sb, lb, db, eb, fb, last = st, lam_m, dm, stab.eigenfield, dm, -1
         if abs(la - lb) <= 1e-9 * max(abs(la), 1.0) or abs(dm) \
                 <= 1e-12 * grid.stencil_scale:
             break
@@ -519,9 +602,10 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     else:
         lam_bisect = 0.5 * (la + lb)
 
+    # the border: the eigenfield of the end nearer to singular
     mid_state = make_state(grid, spec, _clip_cone(0.5 * (sa.u + sb.u)))
-    stab = stability_index(mid_state)
-    fp = moore_spence_solve(grid, spec, mid_state, stab.eigenfield,
+    fp = moore_spence_solve(grid, spec, mid_state,
+                            ea if abs(da) <= abs(db) else eb,
                             0.5 * (la + lb), tol=tol)
     return FoldDetection(lambda_bisect=float(lam_bisect), bracket=bracket,
                          fold_point=fp, lambda_moore_spence=fp.lam)

@@ -262,6 +262,14 @@ def test_solve_init_failure_names_the_init_state(tmp_path, capsys):
     assert "restarts" not in out
 
 
+def test_solve_init_missing_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run(["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
+                "--grid", "interval:7", "--lambda", "2.0",
+                "--init", str(missing)]) == EXIT_USAGE
+    assert "cannot read solution file" in capsys.readouterr().err
+
+
 def test_solution_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     args = ["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",

@@ -207,10 +207,66 @@ def test_detect_fold_regula_falsi_needs_few_stability_solves(monkeypatch):
     calls = []
     real = fold.stability_index
     monkeypatch.setattr(fold, "stability_index",
-                        lambda state: calls.append(1) or real(state))
+                        lambda state, **kw: calls.append(1) or real(state, **kw))
     det = detect_fold(grid, _abc(), branch)
     assert len(calls) <= 8
     assert det.agreement <= 1e-6 * det.lambda_moore_spence
+
+
+def _sweep_cases():
+    for q in (1.05, 1.1, 1.3, 1.5, 1.7, 1.8, 1.9, 1.95):
+        for gamma in (q + 2.05, 4.0, 6.0):
+            yield abc_model(q=q, gamma=gamma), "interval", 31
+    for q in (1.1, 1.5, 1.9):
+        yield coupled_model(q=q), "interval", 31
+        yield abc_model(q=q, gamma=4.0), "rectangle", 15
+
+
+def test_tangent_fold_test_agrees_with_delta_over_a_sweep():
+    # the branch stops where the lambda part of its tangent turns
+    # nonpositive; the stability index must change sign exactly there.
+    # Tracing delta at every record bracketed these cases in 526 records
+    total, wrong = 0, []
+    for spec, kind, n in _sweep_cases():
+        branch = continue_branch(build_grid(kind, n), spec, lam_start=1.0)
+        total += len(branch.records)
+        deltas = [rec.delta for rec in branch.records]
+        first = next((i for i, d in enumerate(deltas) if d <= 0), None)
+        if not branch.fold_bracketed or first != len(deltas) - 1:
+            wrong.append((spec.q, spec.terms, kind, first, len(deltas)))
+    assert not wrong
+    assert total <= 526
+
+
+@pytest.mark.parametrize("spec, record_bound", [
+    (abc_model(q=1.5, gamma=4.0), 15), (coupled_model(q=1.5), 12)],
+    ids=["abc", "coupled"])
+def test_continuation_work_budget(monkeypatch, spec, record_bound):
+    # no eigenpair per record, and natural stepping tries at most one
+    # lambda past the fold; the record bounds are those of tracing delta
+    # at every record
+    import foldfinder.fold as fold
+
+    def no_eigenpair(state, **kw):
+        raise AssertionError("continue_branch computed an eigenpair")
+
+    failed = []
+    real = fold.newton_solve
+
+    def counted(*args, **kw):
+        out = real(*args, **kw)
+        failed.append(not out[1])
+        return out
+
+    monkeypatch.setattr(fold, "stability_index", no_eigenpair)
+    monkeypatch.setattr(fold, "newton_solve", counted)
+    branch = continue_branch(build_grid("interval", 63), spec, lam_start=1.0)
+    monkeypatch.undo()
+    assert branch.fold_bracketed
+    assert sum(failed) <= 1
+    assert len(branch.records) <= record_bound
+    assert branch.records[-2].delta > 0 >= branch.records[-1].delta
+
 
 @pytest.mark.parametrize("spec, kind, n", [
     (abc_model(q=1.5, gamma=4.0), "interval", 63),
