@@ -21,8 +21,8 @@ import numpy as np
 from .cw import upper_bound_lambda
 from .energy import make_state, phi, phi_grad, hessian_operator, State
 from .errors import ConvergenceError, FoldFinderError, NoFoldError
-from .fold import (continue_branch, detect_fold, find_fold_direct,
-                   _third_derivative_blocks)
+from .fold import (continue_branch, find_fold_continuation,
+                   find_fold_direct, _third_derivative_blocks)
 from .linalg import solve_counter
 from .mesh import Grid, build_grid, inner_product, norm
 from .model import ModelSpec, make_model, validate_hypotheses
@@ -292,8 +292,7 @@ def cmd_fold(cfg: RunConfig) -> int:
         if method == "direct":
             fp = find_fold_direct(grid, spec, tol=tol)
         else:
-            branch = continue_branch(grid, spec, lam_start=1.0)
-            fp = detect_fold(grid, spec, branch, tol=tol).fold_point
+            fp = find_fold_continuation(grid, spec, tol=tol).fold_point
     except (ConvergenceError, NoFoldError) as exc:
         print(f"fold search failed: {exc}")
         return EXIT_NO_CONVERGENCE
@@ -336,8 +335,7 @@ def _bench_one(method: str, n: int, spec: ModelSpec):
     if method == "direct":
         lam = find_fold_direct(grid, spec).lam
     else:
-        branch = continue_branch(grid, spec, lam_start=1.0)
-        lam = detect_fold(grid, spec, branch).lambda_moore_spence
+        lam = find_fold_continuation(grid, spec).lambda_moore_spence
     elapsed = time.perf_counter() - t0
     return (method, n, lam, elapsed, solve_counter.reset())
 

@@ -18,9 +18,11 @@ the corrector's iteration count, the arclength step to the size of the
 corrector's first Newton correction.  No record computes an eigenpair:
 the fold test is the sign of the lambda part of the branch tangent, which
 the arclength step solves for anyway, and a record's stability index is
-computed when first read.  Regula falsi (the Illinois variant) on the
-stability index narrows the bracket around the fold before the augmented
-Newton refines it.
+computed when first read.  The augmented Newton refines the fold from
+the bracket end nearer to it; regula falsi (the Illinois variant) on the
+stability index narrows the bracket only when its independent estimate
+``FoldDetection.lambda_bisect`` is read.  ``find_fold_continuation``
+starts the branch at half the a-priori bound.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class BranchRecord:
     """One accepted point of a traced branch.
 
     ``stability``, the principal eigenpair of ``state``, is computed the
-    first time it is read (one cold ``stability_index`` call) and kept;
+    first time it is read (one ``stability_index`` call, started from the
+    state itself) and kept;
     ``delta`` reads it unless the record was made with ``known_delta``.
     Continuation itself reads neither.
     """
@@ -75,7 +78,7 @@ class BranchRecord:
 
     @cached_property
     def stability(self) -> StabilityResult:
-        return stability_index(self.state)
+        return stability_index(self.state, start=self.state.u)
 
     @property
     def delta(self) -> float:
@@ -96,10 +99,22 @@ class Branch:
 
 @dataclass
 class FoldDetection:
-    lambda_bisect: float
+    """A fold refined from a branch bracket (``detect_fold``).
+
+    ``lambda_bisect``, the regula falsi's independent estimate of lambda*,
+    narrows the bracket between the two ``ends`` when it, or
+    ``agreement``, is first read, and is kept.
+    """
+
     bracket: tuple[float, float]
     fold_point: FoldPoint
     lambda_moore_spence: float
+    ends: tuple[BranchRecord, BranchRecord] = field(repr=False,
+                                                    compare=False)
+
+    @cached_property
+    def lambda_bisect(self) -> float:
+        return _regula_falsi(*self.ends)
 
     @property
     def agreement(self) -> float:
@@ -333,6 +348,29 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     return fold_from_candidate(cand, tol=tol)
 
 
+def find_fold_continuation(grid: Grid, spec: ModelSpec, *,
+                           tol: float = 1e-12) -> FoldDetection:
+    """Continuation pipeline: trace the stable branch, then ``detect_fold``.
+
+    The branch starts at half the a-priori bound Lambda with a first step
+    of a tenth of that.  The solution size grows like lambda^(1/(2-q)), so
+    a fixed start such as lambda = 1 lies below the solvers' absolute
+    tolerance near q = 2.  Over the sweep cases of the tests Lambda/lambda*
+    lies in 1.003-1.77, so the start is at most 0.89 lambda*; a start above
+    lambda* would end in ``solve_stable``'s "monotone iteration diverged"
+    (``ConvergenceError``), not in a wrong answer.  Raises ``NoFoldError``
+    on an infinite Lambda, as ``find_fold_direct`` does; ``tol`` is the
+    augmented-Newton tolerance.
+    """
+    bound = upper_bound_lambda(spec, grid)
+    if not math.isfinite(bound):
+        raise NoFoldError("the a-priori bound is infinite; no fold exists")
+    lam_start = 0.5 * bound
+    branch = continue_branch(grid, spec, lam_start=lam_start,
+                             step=0.1 * lam_start)
+    return detect_fold(grid, spec, branch, tol=tol)
+
+
 def _step_factor(iters: int) -> float:
     """Step-length factor from the iteration count of an accepted corrector.
 
@@ -539,34 +577,21 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
     return None, first
 
 
-def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
-                tol: float = 1e-12) -> FoldDetection:
-    """Regula falsi on the stability sign change, cross-checked by refinement.
+def _regula_falsi(a: BranchRecord, b: BranchRecord) -> float:
+    """Illinois regula falsi on delta between the bracket records a and b.
 
-    The bracket is the last two records of a branch that ``continue_branch``
-    marked ``fold_bracketed``; their delta is read there, and
-    ``NoFoldError`` is raised unless delta > 0 at the first and <= 0 at the
-    second.  Each step corrects onto the branch at the point of the chord
-    where the line through the two ends' weighted delta values vanishes,
-    clipped to [0.05, 0.95] of the chord; when the same end is replaced
-    twice in a row, the weight of the other end is halved (the Illinois
-    rule).  Its eigenpair starts from the eigenfield of the nearer end.
-    The search stops once the bracket is 1e-9 relative wide or |delta| is
-    at most 1e-12 times the stencil scale.  Returns both the secant
-    estimate of lambda at delta = 0 from the final bracket
-    (``lambda_bisect``) and the augmented-Newton value from the bracket
-    midpoint, bordered by the eigenfield of the end with the smaller
-    |delta|; ``tol`` is the augmented-Newton tolerance (see
-    ``moore_spence_solve``).
+    Each step corrects onto the branch at the point of the chord where the
+    line through the two ends' weighted delta values vanishes, clipped to
+    [0.05, 0.95] of the chord; when the same end is replaced twice in a
+    row, the weight of the other end is halved (the Illinois rule).  Its
+    eigenpair starts from the eigenfield of the nearer end.  The search
+    stops once the bracket is 1e-9 relative wide or |delta| is at most
+    1e-12 times the stencil scale, and returns the secant estimate of
+    lambda at delta = 0 from the final bracket.
     """
-    if not branch.fold_bracketed or len(branch.records) < 2:
-        raise NoFoldError("branch does not bracket a fold")
-    ends = branch.records[-2:]
-    if not ends[0].delta > 0 >= ends[1].delta:
-        raise NoFoldError("no stability sign change across the fold bracket")
+    grid, spec = a.state.grid, a.state.spec
     (sa, la, da, ea), (sb, lb, db, eb) = (
-        (r.state, r.lam, r.delta, r.stability.eigenfield) for r in ends)
-    bracket = (min(la, lb), max(la, lb))
+        (r.state, r.lam, r.delta, r.stability.eigenfield) for r in (a, b))
 
     fa, fb, last = da, db, 0     # Illinois weights; last end replaced
     for _ in range(80):
@@ -598,14 +623,38 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
 
     # secant interpolation of lambda at delta = 0 from the final bracket
     if db != da:
-        lam_bisect = la + (lb - la) * (0.0 - da) / (db - da)
-    else:
-        lam_bisect = 0.5 * (la + lb)
+        return float(la + (lb - la) * (0.0 - da) / (db - da))
+    return float(0.5 * (la + lb))
 
-    # the border: the eigenfield of the end nearer to singular
-    mid_state = make_state(grid, spec, _clip_cone(0.5 * (sa.u + sb.u)))
-    fp = moore_spence_solve(grid, spec, mid_state,
-                            ea if abs(da) <= abs(db) else eb,
-                            0.5 * (la + lb), tol=tol)
-    return FoldDetection(lambda_bisect=float(lam_bisect), bracket=bracket,
-                         fold_point=fp, lambda_moore_spence=fp.lam)
+
+def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
+                tol: float = 1e-12) -> FoldDetection:
+    """Refine the fold a branch brackets by the augmented Newton.
+
+    The bracket is the last pair of records of a branch that
+    ``continue_branch`` marked ``fold_bracketed`` across which delta
+    changes sign: it starts at the last two records and steps back while
+    both ends read delta <= 0, which costs one more eigenpair when the
+    tangent test let one record past the fold.  ``NoFoldError`` is raised
+    unless delta > 0 at the first end and <= 0 at the second.  The
+    augmented Newton starts from the end with the smaller |delta|, its
+    state and lambda, bordered by its eigenfield; ``tol`` is its tolerance
+    (see ``moore_spence_solve``).  So a detection computes the eigenpairs
+    of its two ends and nothing else; the regula falsi of
+    ``lambda_bisect`` runs when that is first read.
+    """
+    records = branch.records
+    if not branch.fold_bracketed or len(records) < 2:
+        raise NoFoldError("branch does not bracket a fold")
+    k = len(records) - 1
+    while k > 1 and records[k - 1].delta <= 0 >= records[k].delta:
+        k -= 1
+    ends = records[k - 1], records[k]
+    if not ends[0].delta > 0 >= ends[1].delta:
+        raise NoFoldError("no stability sign change across the fold bracket")
+    start = min(ends, key=lambda r: abs(r.delta))
+    fp = moore_spence_solve(grid, spec, start.state,
+                            start.stability.eigenfield, start.lam, tol=tol)
+    return FoldDetection(bracket=tuple(sorted(r.lam for r in ends)),
+                         fold_point=fp, lambda_moore_spence=fp.lam,
+                         ends=ends)

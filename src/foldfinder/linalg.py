@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,8 +75,6 @@ class LinearOperator:
     matrix: sp.csr_matrix = field(repr=False)
     weight: float = 1.0
     grid: Grid | None = field(default=None, repr=False, compare=False)
-    _scale: float | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     @classmethod
     def from_matrix(cls, matrix, weight: float = 1.0):
@@ -88,11 +87,22 @@ class LinearOperator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
+    @cached_property
+    def row_abs_sums(self) -> np.ndarray:
+        """sum_j |a_ij| per row, computed once; 0 on a row with no entry.
+
+        The reduction is the one scipy's ``abs(matrix).sum(axis=1)`` runs,
+        without building |A|.
+        """
+        indptr = self.matrix.indptr
+        rows = np.flatnonzero(np.diff(indptr))
+        sums = np.zeros(self.dim)
+        sums[rows] = np.add.reduceat(np.abs(self.matrix.data), indptr[rows])
+        return sums
+
     def scale(self) -> float:
         """Largest absolute row sum, used to scale shifts and tolerances."""
-        if self._scale is None:
-            self._scale = float(abs(self.matrix).sum(axis=1).max())
-        return self._scale
+        return float(self.row_abs_sums.max())
 
 
 # SuperLU's supernode options for every factor.  Its defaults amalgamate
@@ -295,9 +305,8 @@ def smallest_eigenpair(op: LinearOperator, tol: float,
                                    select="i", select_range=(0, 0))
     else:
         diag = mat.diagonal()
-        row_abs = np.ravel(abs(mat).sum(axis=1))
-        lower = float((diag - (row_abs - np.abs(diag))).min())
-        sigma = lower - 1e-4 * max(float(row_abs.max()), 1.0)
+        lower = float((diag - (op.row_abs_sums - np.abs(diag))).min())
+        sigma = lower - 1e-4 * max(op.scale(), 1.0)
         solve = _factorized(op, shift=sigma)
         shift_invert = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         if start is None:

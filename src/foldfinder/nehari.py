@@ -107,7 +107,7 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
                                message="monotone iteration diverged")
     state, newton_ok, iters, rn = newton_solve(grid, spec, lam, init, tol=tol)
     try:
-        delta = stability_index(state).delta
+        delta = stability_index(state, start=state.u).delta
     except (ConeError, ConvergenceError):
         delta = math.nan
     converged = bool(newton_ok and delta > stability_tolerance(state))

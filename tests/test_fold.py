@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from foldfinder import (ConeError, ConvergenceError, NoFoldError, abc_model,
                         build_grid, continue_branch, coupled_model, cw_ascend,
-                        detect_fold, find_fold_direct, fold_from_candidate,
+                        detect_fold, find_fold_continuation, find_fold_direct,
+                        fold_from_candidate,
                         make_state, moore_spence_solve, newton_solve,
                         stability_index, stability_tolerance, sublinear_state,
                         upper_bound_lambda, zero_model, ModelSpec)
@@ -199,7 +200,10 @@ def test_cross_method_agreement_medium_grid():
 
 
 def test_detect_fold_regula_falsi_needs_few_stability_solves(monkeypatch):
-    # bisecting the bracket to 1e-9 took 13 stability solves here
+    # bisecting the bracket to 1e-9 took 13 stability solves here.  The
+    # augmented Newton starts from a bracket record, so a detection pays
+    # for the eigenpairs of its two ends only, and the regula falsi runs
+    # once, when its estimate is first read
     import foldfinder.fold as fold
 
     grid = build_grid("interval", 63)
@@ -209,8 +213,56 @@ def test_detect_fold_regula_falsi_needs_few_stability_solves(monkeypatch):
     monkeypatch.setattr(fold, "stability_index",
                         lambda state, **kw: calls.append(1) or real(state, **kw))
     det = detect_fold(grid, _abc(), branch)
-    assert len(calls) <= 8
+    assert len(calls) == 2
     assert det.agreement <= 1e-6 * det.lambda_moore_spence
+    solves = len(calls)
+    assert 2 < solves <= 8
+    det.lambda_bisect   # kept from the first read
+    assert len(calls) == solves
+
+
+def test_detect_fold_steps_back_to_the_last_sign_change():
+    # the last record lies past the fold, and so does the one before it:
+    # its tangent came from the corrector's factor at the iterate before
+    # convergence and still pointed forward, so tracing went one record on
+    grid, spec = build_grid("interval", 191), abc_model(q=1.467806,
+                                                        gamma=4.258611)
+    branch = continue_branch(grid, spec, lam_start=1.0)
+    assert branch.records[-2].delta <= 0 >= branch.records[-1].delta
+    det = detect_fold(grid, spec, branch)
+    assert det.lambda_moore_spence == pytest.approx(
+        find_fold_direct(grid, spec).lam, rel=1e-10)
+    lo, hi = det.bracket
+    assert lo < det.lambda_moore_spence < hi
+
+
+def test_continuation_route_rejects_an_infinite_bound():
+    with pytest.raises(NoFoldError, match="infinite"):
+        find_fold_continuation(build_grid("interval", 9), zero_model(q=1.5))
+
+
+def test_records_start_their_eigenpair_from_the_state(monkeypatch):
+    # u > 0 and the principal eigenvector is positive, so the state is a
+    # start that cannot be orthogonal to it
+    import foldfinder.fold as fold
+    import foldfinder.nehari as nehari
+
+    starts = []
+
+    def spy(real):
+        def stability(state, **kw):
+            starts.append(np.array_equal(kw.get("start"), state.u))
+            return real(state, **kw)
+        return stability
+
+    monkeypatch.setattr(fold, "stability_index", spy(fold.stability_index))
+    monkeypatch.setattr(nehari, "stability_index",
+                        spy(nehari.stability_index))
+    grid = build_grid("rectangle", 15)
+    branch = continue_branch(grid, _abc(), lam_start=1.0)
+    deltas = [rec.delta for rec in branch.records]
+    assert deltas[0] > 0 >= deltas[-1]
+    assert len(starts) == len(deltas) and all(starts)
 
 
 def _sweep_cases():
@@ -236,6 +288,22 @@ def test_tangent_fold_test_agrees_with_delta_over_a_sweep():
             wrong.append((spec.q, spec.terms, kind, first, len(deltas)))
     assert not wrong
     assert total <= 526
+
+
+def test_continuation_route_agrees_with_direct_over_the_sweep():
+    # the two pipelines of `fold --method continuation` and `--method
+    # direct`.  Started at lambda = 1, continuation failed the 8 cases with
+    # q >= 1.9 ("augmented Newton diverged"): the states there lie below
+    # the solvers' absolute tolerance.  Lambda / lambda* lies in 1.003-1.77
+    # here, so the start at Lambda / 2 stays below lambda*
+    wrong = []
+    for spec, kind, n in _sweep_cases():
+        grid = build_grid(kind, n)
+        direct = find_fold_direct(grid, spec).lam
+        cont = find_fold_continuation(grid, spec).lambda_moore_spence
+        if not abs(cont - direct) <= 1e-10 * direct:
+            wrong.append((spec.q, spec.terms, kind, cont, direct))
+    assert not wrong
 
 
 @pytest.mark.parametrize("spec, record_bound", [

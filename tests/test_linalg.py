@@ -198,6 +198,44 @@ def test_started_eigenpair_matches_in_fewer_solves():
     assert np.array_equal(pairs[1][1], pairs[2][1])
 
 
+@pytest.mark.parametrize("kind, n, spec", [
+    ("interval", 255, coupled_model(q=1.5)),
+    ("rectangle", 55, abc_model(q=1.5, gamma=4.0)),
+    ("rectangle", 15, coupled_model(q=1.4)),
+], ids=["coupled-interval", "abc-rectangle", "coupled-rectangle"])
+def test_row_sums_match_the_sparse_abs_sum_bitwise(monkeypatch, kind, n, spec):
+    # scale() and the Gershgorin shift read one row-sum array, computed
+    # from the stored data, with the values of abs(matrix).sum(axis=1)
+    grid = build_grid(kind, n)
+    rng = np.random.default_rng(7)
+    state = make_state(grid, spec, 0.5 + rng.random((spec.m, grid.n_nodes)))
+    hess = hessian_operator(state, 3.0)
+    sums = np.ravel(abs(hess.matrix).sum(axis=1))
+    assert np.array_equal(hess.row_abs_sums, sums)
+    assert hess.scale() == float(sums.max())
+
+    diag = hess.matrix.diagonal()
+    sigma = float((diag - (sums - np.abs(diag))).min()) \
+        - 1e-4 * max(float(sums.max()), 1.0)
+    shifts = []
+    real = linalg._factorized
+    monkeypatch.setattr(linalg, "_factorized", lambda op, shift=0.0, border=None:
+                        shifts.append(shift) or real(op, shift, border))
+    smallest_eigenpair(hess, tol=1e-10 * grid.stencil_scale, start=state.u)
+    assert shifts == [sigma]
+
+
+def test_row_sums_of_empty_rows_are_zero():
+    op = LinearOperator.from_matrix([[0.0, 0.0, 0.0, 0.0],
+                                     [1.0, -2.0, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0],
+                                     [0.0, 3.0, 0.0, -4.0]])
+    assert np.array_equal(op.row_abs_sums, [0.0, 3.0, 0.0, 7.0])
+    assert op.scale() == 7.0
+    empty = LinearOperator(sp.csr_matrix((2, 2)))
+    assert np.array_equal(empty.row_abs_sums, [0.0, 0.0])
+
+
 def _reaches_splu(tree: ast.AST) -> bool:
     """True if the module imports from scipy.sparse.linalg or names splu."""
     for node in ast.walk(tree):
