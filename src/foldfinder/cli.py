@@ -214,24 +214,31 @@ def write_fold_csv(path, grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
 
 
 def read_solution_csv(path, grid: Grid, spec: ModelSpec) -> State:
-    """Load a solution CSV back as an initial state on the given grid."""
+    """Load a solution CSV back as an initial state on the given grid.
+
+    An unreadable, empty, non-numeric, short-rowed or non-finite file is a
+    ``UsageError``.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read solution file: {exc}")
     with fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         ncoord = 1 if grid.ndim == 1 else 2
         ucols = [k for k, name in enumerate(header) if name.startswith("u_")]
         if len(ucols) != spec.m or ncoord + len(ucols) > len(header):
             raise UsageError(f"CSV header {header} does not match the model")
-        rows = [[float(cell) for cell in row] for row in reader]
+        rows = list(reader)
     if len(rows) != grid.n_nodes:
         raise UsageError(f"CSV has {len(rows)} rows, grid has "
                          f"{grid.n_nodes} nodes")
-    u = np.array([[row[k] for k in ucols] for row in rows]).T
-    return make_state(grid, spec, u)
+    try:
+        u = np.array([[float(cell) for cell in row] for row in rows])
+        return make_state(grid, spec, u[:, ucols].T)
+    except (ValueError, IndexError) as exc:   # ragged, non-numeric, non-finite
+        raise UsageError(f"malformed solution file: {exc}")
 
 
 # ---------------------------------------------------------------------------

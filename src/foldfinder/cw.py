@@ -30,8 +30,6 @@ from .spectrum import StabilityResult, stability_index, stability_tolerance
 class CwCandidate:
     state: State
     lambda_cw: float
-    active_node: tuple[int, int]      # (component, node index) of the min ratio
-    gap: float                        # max ratio - min ratio
     converged: bool = False
     iterations: int = 0
     stability: StabilityResult | None = None   # set by cw_ascend
@@ -55,13 +53,9 @@ def _ratios(state: State) -> np.ndarray:
 
 
 def cw_value(state: State) -> CwCandidate:
-    """Minimum nodewise residual ratio, its argmin, and the max-min gap."""
+    """Minimum nodewise residual ratio."""
     require_cone_interior(state)
-    r = _ratios(state)
-    flat = int(np.argmin(r))
-    active = (flat // state.grid.n_nodes, flat % state.grid.n_nodes)
-    return CwCandidate(state=state, lambda_cw=float(r.min()),
-                       active_node=active, gap=float(r.max() - r.min()))
+    return CwCandidate(state=state, lambda_cw=float(_ratios(state).min()))
 
 
 def _fiber_argmax(state: State) -> float | None:

@@ -10,6 +10,9 @@ solves and a 2x2 system give it, with a backward-error check on the full
 Newton system, so nothing is eliminated through the (near) singular
 Hessian.  Newton stops on the residuals and on the size of its next
 lambda correction, so lambda* does not depend on where it started.
+Both Newton systems here, the augmented one (a step halved up to 25
+times) and the arclength corrector (full steps), run on the damped loop
+``nehari._newton``, which clips every iterate onto the cone.
 Continuation uses natural stepping with a secant predictor and switches
 to pseudo-arclength stepping (tangent predictor and corrector, both
 bordered solves) where the branch starts to turn away from the secant, or
@@ -17,8 +20,8 @@ at the first failed or slow natural corrector; the natural step adapts to
 the corrector's iteration count, the arclength step to the size of the
 corrector's first Newton correction.  No record computes an eigenpair:
 the fold test is the sign of the lambda part of the branch tangent, which
-the arclength step solves for anyway, and a record's stability index is
-computed when first read.  The augmented Newton refines the fold from
+the arclength step solves for anyway, and a record's stability index and
+energy are computed when first read.  The augmented Newton refines the fold from
 the bracket end nearer to it; regula falsi (the Illinois variant) on the
 stability index narrows the bracket only when its independent estimate
 ``FoldDetection.lambda_bisect`` is read.  ``find_fold_continuation``
@@ -40,7 +43,7 @@ from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
                      smallest_eigenpair)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
-from .nehari import newton_solve, solve_stable, _clip_cone
+from .nehari import newton_solve, solve_stable, _newton, _Point
 from .cw import CwCandidate, cw_ascend, upper_bound_lambda
 from .spectrum import StabilityResult, stability_index
 
@@ -65,16 +68,23 @@ class BranchRecord:
     first time it is read (one ``stability_index`` call, started from the
     state itself) and kept;
     ``delta`` reads it unless the record was made with ``known_delta``.
-    Continuation itself reads neither.
+    ``energy``, phi at (state, lam), is likewise computed when first read.
+    Continuation itself reads none of them.
     """
 
     lam: float
-    sup_norm: float
-    energy: float
     corrector_iters: int
     state: State = field(repr=False, compare=False)
     known_delta: float | None = field(default=None, repr=False,
                                       compare=False)
+
+    @property
+    def sup_norm(self) -> float:
+        return self.state.sup
+
+    @cached_property
+    def energy(self) -> float:
+        return phi(self.state, self.lam)
 
     @cached_property
     def stability(self) -> StabilityResult:
@@ -91,10 +101,6 @@ class BranchRecord:
 class Branch:
     records: list[BranchRecord] = field(default_factory=list)
     fold_bracketed: bool = False
-
-    @property
-    def states(self) -> list[State]:
-        return [rec.state for rec in self.records]
 
 
 @dataclass
@@ -191,7 +197,9 @@ def _augmented_newton_step(hess: LinearOperator, border, f: np.ndarray,
 def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                        init_v: np.ndarray, init_lam: float,
                        tol: float = 1e-12, max_iters: int = 50) -> FoldPoint:
-    """Damped Newton on the minimally augmented fold system {F = 0, g = 0}.
+    """Damped Newton (``nehari._newton``, a step halved up to 25 times) on
+    the minimally augmented fold system {F = 0, g = 0}, whose merit is
+    ||F||^2 + g^2.
 
     The name is that of the Moore-Spence system {F = 0, H v = 0, <v, v> = 1}
     it used to solve; it stays because it is public and gives the same fold
@@ -221,79 +229,57 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     if bn == 0.0:
         raise ValueError("init null direction must be nonzero")
     b = b / bn
-    lam = float(init_lam)
 
-    def residual(u, lam):
+    def evaluate(u, lam):
         state = make_state(grid, spec, u)
         hess = hessian_operator(state, lam)
         f = phi_grad(state, lam)
         border = factor_bordered(hess, b, b, 0.0)
         v, g = border(np.zeros(m * n), 1.0)
-        return state, hess, f, v.reshape(m, n), g, border
+        v = v.reshape(m, n)
+        theta = norm(grid, f) ** 2 + g ** 2
 
-    def merit(f, g):
-        return norm(grid, f) ** 2 + g ** 2
-
-    it, best = 0, None
-    try:
-        state, hess, f, v, g, border = residual(_clip_cone(init_u.u.copy()),
-                                                lam)
-        theta = merit(f, g)
-        best = (math.sqrt(theta), state, v.copy(), lam)
-        history = [math.sqrt(theta)]
-
-        for it in range(1, max_iters + 1):
+        def solve():
             g_u, g_lam = _test_function_gradient(state, lam, v)
             du, dlam = _augmented_newton_step(
                 hess, border, f.ravel(), g, v.ravel(),
                 -(state.u ** (spec.q - 1.0)).ravel(), g_u.ravel(), g_lam)
-            border = out = None
-            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
-                    and abs(dlam) <= tol * max(abs(lam), 1.0):
-                break
-            du = du.reshape(m, n)
+            return du.reshape(m, n), dlam
 
-            alpha, accepted = 1.0, False
-            for _ in range(25):
-                u_try = state.u + alpha * du
-                if np.any(u_try <= 0):
-                    u_try = _clip_cone(u_try)
-                try:
-                    out = residual(u_try, lam + alpha * dlam)
-                except (ConeError, FloatingPointError):
-                    alpha *= 0.5
-                    continue
-                theta_try = merit(out[2], out[4])
-                if theta_try <= (1.0 - 1e-4 * alpha) * theta \
-                        or theta_try < tol_abs**2:
-                    state, hess, f, v, g, border = out
-                    lam = lam + alpha * dlam
-                    theta = theta_try
-                    accepted = True
-                    break
-                out = None
-                alpha *= 0.5
-            if not accepted:
-                raise ConvergenceError("augmented Newton stalled",
-                                       residual=math.sqrt(theta),
-                                       iterations=it, best=best)
+        # a merit below tol_abs^2 counts as zero: a trial that stays there
+        # is accepted without lowering it
+        return _Point(state, lam, theta if theta >= tol_abs ** 2 else 0.0,
+                      solve, (f, g, v, hess, theta))
+
+    history, best, it = [], None, -1
+    try:
+        for it, (point, _) in enumerate(_newton(evaluate, init_u.u,
+                                                float(init_lam), 25)):
+            f, g, v, hess, theta = point.data
             history.append(math.sqrt(theta))
-            if math.sqrt(theta) < best[0]:
-                best = (math.sqrt(theta), state, v.copy(), lam)
+            if best is None or history[-1] < best[0]:
+                best = (history[-1], point.state, v, point.lam)
             if len(history) > 5 and history[-1] > 0.5 * history[-6] \
                     and history[-1] > tol_abs:
                 raise ConvergenceError(
                     "augmented Newton diverged "
                     "(residual not halved over 5 steps)",
                     residual=history[-1], iterations=it, best=best)
+            if it == max_iters:
+                raise ConvergenceError("augmented Newton hit its iteration cap",
+                                       residual=history[-1],
+                                       iterations=max_iters, best=best)
+            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
+                    and abs(point.step[1]) <= tol * max(abs(point.lam), 1.0):
+                break
         else:
-            raise ConvergenceError("augmented Newton hit its iteration cap",
-                                   residual=math.sqrt(theta),
-                                   iterations=max_iters, best=best)
+            raise ConvergenceError("augmented Newton stalled",
+                                   residual=history[-1], iterations=it + 1,
+                                   best=best)
     except SingularBorderError as exc:
         raise ConvergenceError(f"augmented Newton step failed: {exc}",
                                residual=None if best is None else best[0],
-                               iterations=it, best=best) from exc
+                               iterations=it + 1, best=best) from exc
 
     # quadrature normalization, sign rule and eigen-certificate
     v = v / norm(grid, v)
@@ -305,9 +291,9 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     align = abs(w * float(phi_eig @ v.ravel()))
     hv = norm(grid, hess(v.ravel()).reshape(m, n))
     vv = w * float(v.ravel() @ v.ravel())
-    return FoldPoint(state=state, v=v, lam=lam, delta=delta,
+    return FoldPoint(state=point.state, v=v, lam=point.lam, delta=delta,
                      residuals=(norm(grid, f), hv, abs(vv - 1.0)),
-                     newton_iterations=it - 1, eig_alignment=align,
+                     newton_iterations=it, eig_alignment=align,
                      history=tuple(history))
 
 
@@ -439,8 +425,7 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
     def record(state: State, lam: float, iters: int,
                delta: float | None = None) -> None:
         branch.records.append(BranchRecord(
-            lam=lam, sup_norm=state.sup, energy=phi(state, lam),
-            corrector_iters=iters, state=state, known_delta=delta))
+            lam=lam, corrector_iters=iters, state=state, known_delta=delta))
 
     record(rep.state, lam_start, rep.iterations, rep.delta)
     prev: tuple[State, float] | None = None
@@ -457,11 +442,8 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                 u_pred = cur[0].u + (cur[0].u - prev[0].u) * (dl / (cur[1] - prev[1]))
             else:
                 u_pred = cur[0].u
-            try:
-                guess = make_state(grid, spec, _clip_cone(u_pred))
-                st, ok, iters, _ = newton_solve(grid, spec, lam_new, guess, tol=tol)
-            except (ConeError, ConvergenceError):
-                ok, iters = False, 99
+            st, ok, iters, _ = newton_solve(
+                grid, spec, lam_new, make_state(grid, spec, u_pred), tol=tol)
             bend = 0.0
             if ok:
                 record(st, lam_new, iters)
@@ -524,56 +506,55 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          max_first: float = math.inf):
     """Newton corrector on {residual = 0, tangent plane through predictor}.
 
-    Returns ((state, lam, Newton steps taken, border), first), the steps
-    counted as ``newton_solve`` counts them, ``border`` the solve function
-    of the last bordered factor (None when no step was taken) and ``first``
-    the length of the first Newton correction; the first item is None when
-    the corrector fails.  It fails when the iterate collapses onto the
-    trivial solution u = 0, which meets every tangent plane that is not
-    parallel to the lambda axis; at once when ``first`` exceeds
-    ``max_first``; and when a correction is not shorter than the one
-    before it.
+    Full steps of ``nehari._newton`` (no halving), whose merit is the norm
+    of both residuals.  Returns ((state, lam, Newton steps taken, border),
+    first), the steps counted as ``newton_solve`` counts them, ``border``
+    the solve function of the last bordered factor (None when no step was
+    taken) and ``first`` the length of the first Newton correction; the
+    first item is None when the corrector fails.  It fails when a full step
+    does not lower the merit or collapses onto the trivial solution u = 0,
+    which meets every tangent plane that is not parallel to the lambda
+    axis; at once when ``first`` exceeds ``max_first``; and when a
+    correction is not shorter than the one before it.
     """
     tol_abs = tol * grid.stencil_scale
-    u = _clip_cone(u_pred)
-    sup0 = float(u.max())
-    lam = lam_pred
     w = grid.node_weight
-    first = 0.0
-    last = math.inf
-    border = None
-    for it in range(max_iters):
-        try:
-            state = make_state(grid, spec, u)
-            f1 = phi_grad(state, lam)
-        except ConeError:
-            return None, first
-        if state.sup <= 1e-8 * sup0:
-            return None, first
+
+    def evaluate(u, lam):
+        state = make_state(grid, spec, u)
+        f = phi_grad(state, lam)
         con = (w * float(tu.ravel() @ (u - u_pred).ravel())
                + tlam * (lam - lam_pred))
-        if norm(grid, f1) <= tol_abs and abs(con) <= tol_abs:
-            return (state, lam, it, border), first
-        hess = hessian_operator(state, lam)
-        p = -(u ** (spec.q - 1.0)).ravel()   # dF/dlam
+
+        def solve():
+            border = factor_bordered(hessian_operator(state, lam),
+                                     -(u ** (spec.q - 1.0)).ravel(),  # dF/dlam
+                                     w * tu.ravel(), tlam)
+            dx, dlam = border(-f.ravel(), -con)
+            return dx.reshape(u.shape), dlam, border
+
+        rn = norm(grid, f)
+        return _Point(state, lam, math.hypot(rn, con), solve, (rn, con))
+
+    first, last, border = 0.0, math.inf, None
+    for it, (point, _) in enumerate(_newton(evaluate, u_pred, lam_pred, 0)):
+        rn, con = point.data
+        if it == max_iters:
+            break
+        if rn <= tol_abs and abs(con) <= tol_abs:
+            return (point.state, point.lam, it, border), first
         try:
-            border = factor_bordered(hess, p, w * tu.ravel(), tlam)
-            dx, dlam_step = border(-f1.ravel(), -con)
+            dx, dlam, border = point.step
         except SingularBorderError:
-            return None, first
-        dx = dx.reshape(u.shape)
-        size = math.sqrt(norm(grid, dx) ** 2 + dlam_step ** 2)
+            break
+        size = math.sqrt(norm(grid, dx) ** 2 + dlam ** 2)
         if it == 0:
             first = size
             if first > max_first:
-                return None, first
+                break
         elif size >= last:
-            return None, first
+            break
         last = size
-        u = u + dx
-        lam = lam + dlam_step
-        if np.any(u <= 0):
-            u = _clip_cone(u)
     return None, first
 
 

@@ -20,8 +20,7 @@ whose supernodes store little more than the true fill (Ashcraft and
 Grimes 1989; Demmel et al. 1999).
 
 ``factor_bordered`` factors a bordered matrix once and returns a solve
-function, so one factor serves several right-hand sides;
-``solve_bordered`` is that factor used once.
+function, so one factor serves several right-hand sides.
 
 ``smallest_eigenpair`` picks its path from the matrix pattern.  A
 tridiagonal matrix (a scalar model on an interval grid) goes to LAPACK's
@@ -75,10 +74,6 @@ class LinearOperator:
     matrix: sp.csr_matrix = field(repr=False)
     weight: float = 1.0
     grid: Grid | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_matrix(cls, matrix, weight: float = 1.0):
-        return cls(matrix=sp.csr_matrix(matrix), weight=weight)
 
     @property
     def dim(self) -> int:
@@ -264,16 +259,6 @@ def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
         return x, float(y)
 
     return solve
-
-
-def solve_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
-                   d: float, rhs_f: np.ndarray, rhs_g: float,
-                   tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Solve the bordered system [[A, c], [b', d]] (x, y) = (f, g).
-
-    One ``factor_bordered`` factor, used once; see there for the errors.
-    """
-    return factor_bordered(op, c, b_row, d, tol)(rhs_f, rhs_g)
 
 
 def smallest_eigenpair(op: LinearOperator, tol: float,

@@ -49,10 +49,6 @@ class Grid:
         return math.prod(self.h)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n_nodes, self.node_weight)
-
-    @property
     def stencil_scale(self) -> float:
         """Largest stencil coefficient 2*sum(1/h^2); used to scale tolerances."""
         return 2.0 * sum(1.0 / hi**2 for hi in self.h)
@@ -160,11 +156,3 @@ def principal_laplacian_eigenvector(grid: Grid) -> np.ndarray:
     return np.prod(np.sin(np.pi * grid.coords / np.array(grid.extents)),
                    axis=1)
 
-
-def interval_eigenvalue(grid: Grid, k: int = 1) -> float:
-    """Closed-form k-th Dirichlet stencil eigenvalue of a 1-D grid."""
-    if grid.ndim != 1:
-        raise ValueError("closed form is for 1-D grids")
-    (h,) = grid.h
-    (ext,) = grid.extents
-    return (2.0 / h**2) * (1.0 - math.cos(k * math.pi * h / ext))

@@ -1,4 +1,4 @@
-"""Stable-branch solver at fixed lambda, and the damped Newton corrector.
+"""Stable-branch solver at fixed lambda, and the one damped Newton loop.
 
 Below lambda* the stable branch is the minimal positive solution
 (Ambrosetti, Brezis and Cerami 1994), and Amann's monotone iteration
@@ -9,15 +9,24 @@ subsolution.  So u <- L^-1 (lam u^(q-1) + g(u)), the Laplacian step that
 ``cw.cw_ascend`` takes at lambda_cw, rises monotonically to the stable
 solution when lam < lambda*, and grows without bound above it.
 ``newton_solve`` finishes the iteration and ``stability_index`` checks
-the result.  The module keeps the name of the Nehari-manifold descent it
-used to hold, because the benchmark tracer (``perfbench/tracer.py``)
+the result.
+
+``_newton`` is the damped Newton loop of all three Newton systems
+(Deuflhard 2004): ``newton_solve`` here, and the arclength corrector and
+the augmented fold Newton of ``fold``.  It owns the cone clip, the step
+and the one backtracking line search; each solver supplies its residual,
+merit and Newton step as a ``_Point`` and keeps its own stop test and
+failure rules.  The module keeps the name of the Nehari-manifold descent
+it used to hold, because the benchmark tracer (``perfbench/tracer.py``)
 reports its spans as ``nehari.*``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,7 +35,7 @@ from .energy import State, hessian_operator, make_state, phi, phi_grad
 from .linalg import _factorized, laplacian_solve
 from .mesh import (Grid, norm, principal_laplacian_eigenvalue,
                    principal_laplacian_eigenvector)
-from .model import ModelSpec, eval_g, zero_model
+from .model import ModelSpec, eval_g
 from .spectrum import stability_index, stability_tolerance
 
 _CLIP_REL = 1e-12  # cone floor used to keep iterates strictly interior
@@ -121,75 +130,100 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
                        converged=converged, message=message)
 
 
-def solve_sublinear(grid: Grid, q: float, lam: float) -> np.ndarray:
-    """Unique positive solution of -Delta_h w = lam w^(q-1), shape (N,).
-
-    ``solve_stable`` on the zero model, to 1e-13 of the stencil scale.
-    """
-    if not 1.0 < q < 2.0:
-        raise ValueError("q must lie in (1, 2)")
-    rep = solve_stable(grid, zero_model(q), lam, tol=1e-13)
-    if not rep.converged:
-        raise ConvergenceError(f"sublinear solve failed: {rep.message}",
-                               residual=rep.residual_norm,
-                               iterations=rep.iterations)
-    return rep.state.u[0]
-
-
-def sublinear_state(grid: Grid, spec: ModelSpec, lam: float) -> State:
-    """w_lambda tiled over the model components."""
-    w = solve_sublinear(grid, spec.q, lam)
-    return make_state(grid, spec, np.tile(w, (spec.m, 1)))
 
 
 def _clip_cone(u: np.ndarray) -> np.ndarray:
+    """u raised to the cone floor, C-ordered whatever the layout of u.
+
+    ``_laplacian_step`` leaves its states F-ordered, and sums over a state
+    differ in their last bit between the two layouts.
+    """
     floor = _CLIP_REL * max(float(np.abs(u).max()), 1e-300)
-    return np.maximum(u, floor)
+    return np.maximum(u, floor, order="C")
+
+
+@dataclass
+class _Point:
+    """An iterate of ``_newton``, evaluated by its solver.
+
+    The line search lowers ``merit``; ``data`` holds what the solver's stop
+    test reads.  ``step`` is the Newton correction (du, dlam, ...): it calls
+    ``solve`` on first read and then drops it, with any factor it holds.
+    """
+
+    state: State
+    lam: float
+    merit: float
+    solve: Callable[[], tuple] | None = field(repr=False)
+    data: tuple = ()
+
+    @cached_property
+    def step(self) -> tuple:
+        step, self.solve = self.solve(), None
+        return step
+
+
+def _newton(evaluate: Callable[[np.ndarray, float], _Point], u: np.ndarray,
+            lam: float, halvings: int) -> Iterator[tuple[_Point, float]]:
+    """Damped Newton: yields the start, then each accepted iterate, with the
+    step length alpha that reached it (1 for the start).
+
+    ``evaluate(u, lam)`` is the solver's ``_Point`` at (u, lam).  Every
+    iterate, the start too, is clipped onto the cone, so each evaluated
+    state is cone interior.  The trial along a point's step is accepted
+    when its merit is at most (1 - 1e-4 alpha) times the point's and its
+    sup norm exceeds 1e-8 of the start's: a trial collapsed onto the
+    trivial branch is no positive solution.  Otherwise alpha is halved, at
+    most ``halvings`` times.  The iteration ends when no trial is accepted;
+    the caller ends it at its own stop test.  A rejected trial is dropped
+    before the next is evaluated, so the line search holds one trial, and
+    its factor, at a time.
+    """
+    point, alpha = evaluate(_clip_cone(u), lam), 1.0
+    sup0 = max(point.state.sup, 1e-300)
+    while True:
+        yield point, alpha
+        du, dlam = point.step[:2]
+        alpha = 1.0
+        for _ in range(halvings + 1):
+            trial = evaluate(_clip_cone(point.state.u + alpha * du),
+                             point.lam + alpha * dlam)
+            if trial.merit <= (1.0 - 1e-4 * alpha) * point.merit \
+                    and trial.state.sup > 1e-8 * sup0:
+                break
+            del trial
+            alpha *= 0.5
+        else:
+            return
+        point = trial
 
 
 def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
                  tol: float = 1e-12, max_iters: int = 40) -> tuple[State, bool, int, float]:
-    """Damped Newton on the residual at fixed lambda.
+    """Damped Newton on the residual at fixed lambda (``_newton``).
 
-    Returns (state, converged, iterations, residual_norm); iterates are kept
-    in the cone by clipping.  The line search halves a step whose trial
-    does not lower the residual or collapses onto the trivial branch (sup
-    norm at most 1e-8 of the start's), so a long first step from a fold
-    point is damped instead of ending the solve.  A second damped step in a
-    row ends it, not converged: above the fold, where no solution exists,
-    every step needs damping, and a failed continuation corrector then
-    stops in two or three steps instead of running to ``max_iters``.
+    Returns (state, converged, iterations, residual_norm).  The merit is
+    the residual norm, and a step is halved up to 30 times, so a long first
+    step from a fold point is damped instead of ending the solve.  A second
+    damped step in a row ends it, not converged: above the fold, where no
+    solution exists, every step needs damping, and a failed continuation
+    corrector then stops in two or three steps instead of running to
+    ``max_iters``.
     """
     tol_abs = tol * grid.stencil_scale
-    u = _clip_cone(init.u.copy())
-    state = make_state(grid, spec, u)
-    sup0 = max(state.sup, 1e-300)
-    res = phi_grad(state, lam)
-    rn = norm(grid, res)
+
+    def evaluate(u, lam):
+        state = make_state(grid, spec, u)
+        res = phi_grad(state, lam)
+        return _Point(state, lam, norm(grid, res), lambda: (
+            _factorized(hessian_operator(state, lam))(-res.ravel())
+            .reshape(res.shape), 0.0))
+
     damped = False
-    for it in range(max_iters):
-        if rn <= tol_abs:
-            return state, True, it, rn
-        hess = hessian_operator(state, lam)
-        step = _factorized(hess)(-res.ravel()).reshape(res.shape)
-        alpha, accepted = 1.0, False
-        for _ in range(30):
-            u_try = _clip_cone(state.u + alpha * step)
-            trial = make_state(grid, spec, u_try)
-            try:
-                res_try = phi_grad(trial, lam)
-            except ConeError:
-                alpha *= 0.5
-                continue
-            rn_try = norm(grid, res_try)
-            # a trial collapsed onto the trivial branch is no positive solution
-            if rn_try < (1.0 - 1e-4 * alpha) * rn \
-                    and trial.sup > 1e-8 * sup0:
-                state, res, rn = trial, res_try, rn_try
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted or (damped and alpha < 1.0):
-            return state, False, it + 1, rn
+    for it, (point, alpha) in enumerate(_newton(evaluate, init.u, lam, 30)):
+        if damped and alpha < 1.0:
+            return point.state, False, it, point.merit
+        if point.merit <= tol_abs or it == max_iters:
+            return point.state, point.merit <= tol_abs, it, point.merit
         damped = alpha < 1.0
-    return state, rn <= tol_abs, max_iters, rn
+    return point.state, False, it + 1, point.merit

@@ -19,7 +19,6 @@ def stability_tolerance(state: State) -> float:
 class StabilityResult:
     delta: float
     eigenfield: np.ndarray       # (m, N), quadrature-normalized
-    lambda_used: float
 
 
 def stability_index(state: State, tol: float = 1e-10,
@@ -30,10 +29,8 @@ def stability_index(state: State, tol: float = 1e-10,
     eigenfield, goes to ``smallest_eigenpair``.
     """
     require_cone_interior(state)
-    lam = rayleigh_nl(state)
-    hess = hessian_operator(state, lam)
+    hess = hessian_operator(state, rayleigh_nl(state))
     tol_abs = tol * state.grid.stencil_scale
     delta, phi_flat = smallest_eigenpair(hess, tol=tol_abs, start=start)
     return StabilityResult(delta=delta,
-                           eigenfield=phi_flat.reshape(state.u.shape),
-                           lambda_used=lam)
+                           eigenfield=phi_flat.reshape(state.u.shape))

@@ -15,9 +15,10 @@ from foldfinder import (ModelSpec, abc_model, build_grid, coupled_model,
                         find_fold_direct, hessian_operator, inner_product,
                         make_state, newton_solve, norm, phi, phi_grad,
                         rayleigh_ext, rayleigh_nl, solve_stable,
-                        solve_sublinear, stability_index,
-                        stability_tolerance, sublinear_state,
+                        stability_index, stability_tolerance,
                         upper_bound_lambda, zero_model)
+
+from _sublinear import solve_sublinear, sublinear_state
 
 Q, GAMMA = 1.5, 4.0
 C1 = 8.0                                   # one-node stencil constant 2/h^2
@@ -109,9 +110,9 @@ def test_criterion_5_nonexistence_above_existence_below():
     # below the fold continuation supplies a stable solution
     lam_lo = 0.98 * lam_star
     branch = continue_branch(grid, _abc(), lam_start=1.0)
-    nearest = min((pair for pair in zip(branch.records, branch.states)
-                   if pair[0].delta > 0), key=lambda p: abs(p[0].lam - lam_lo))
-    state, conv, _, _ = newton_solve(grid, _abc(), lam_lo, nearest[1])
+    nearest = min((rec for rec in branch.records if rec.delta > 0),
+                  key=lambda rec: abs(rec.lam - lam_lo))
+    state, conv, _, _ = newton_solve(grid, _abc(), lam_lo, nearest.state)
     below_ok = conv and stability_index(state).delta > 0
 
     ok = multi_fail and not newton_ok and no_stable_above and below_ok

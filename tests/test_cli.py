@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -262,12 +263,23 @@ def test_solve_init_failure_names_the_init_state(tmp_path, capsys):
     assert "restarts" not in out
 
 
-def test_solve_init_missing_file_is_usage_error(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
+@pytest.mark.parametrize("edit, message", [
+    (None, "cannot read solution file"),
+    (lambda lines: [], "does not match the model"),
+    (lambda lines: lines[:3] + ["0.5,abc"] + lines[4:], "malformed"),
+    (lambda lines: lines[:3] + ["0.5"] + lines[4:], "malformed"),
+    (lambda lines: lines[:3] + ["0.5,nan"] + lines[4:], "non-finite"),
+], ids=["missing", "empty", "non-numeric", "short-row", "nan"])
+def test_solve_init_missing_file_is_usage_error(tmp_path, capsys, edit,
+                                                message):
+    init = tmp_path / "missing.csv"
+    if edit is not None:
+        lines = _solution_csv(tmp_path).read_text().splitlines()
+        init.write_text("".join(line + "\n" for line in edit(lines)))
     assert run(["solve", "--model", "abc", "--q", "1.5", "--gamma", "4",
                 "--grid", "interval:7", "--lambda", "2.0",
-                "--init", str(missing)]) == EXIT_USAGE
-    assert "cannot read solution file" in capsys.readouterr().err
+                "--init", str(init)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_solution_csv_round_trip(tmp_path, capsys):
@@ -323,6 +335,24 @@ def test_no_module_imports_scipy_optimize():
     assert "cw" in modules and "nehari" in modules
     assert not [name for name in modules if _imports_scipy_optimize(
         ast.parse((pkg / f"{name}.py").read_text()))]
+
+
+# rayleigh_ext, the paper's extended Rayleigh quotient R(u, v), has no
+# caller in the package: acceptance criterion 7 tests its invariants
+_PUBLIC_WITHOUT_CALLER = {"rayleigh_ext"}
+
+
+def test_every_public_function_and_class_is_loaded_in_the_package():
+    # public code that only tests call is deleted, with its export
+    pkg = Path(foldfinder.__file__).parent
+    loaded = {node.id for path in pkg.glob("*.py") if path.name != "__init__.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    public = {name for name in foldfinder.__all__
+              if inspect.isfunction(getattr(foldfinder, name))
+              or inspect.isclass(getattr(foldfinder, name))}
+    assert "solve_stable" in public and "Grid" in public
+    assert sorted(public - loaded - _PUBLIC_WITHOUT_CALLER) == []
 
 
 def test_warm_up_fold_leaves_scipy_optimize_unloaded(tmp_path):

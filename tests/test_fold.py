@@ -9,8 +9,10 @@ from foldfinder import (ConeError, ConvergenceError, NoFoldError, abc_model,
                         detect_fold, find_fold_continuation, find_fold_direct,
                         fold_from_candidate,
                         make_state, moore_spence_solve, newton_solve,
-                        stability_index, stability_tolerance, sublinear_state,
+                        stability_index, stability_tolerance,
                         upper_bound_lambda, zero_model, ModelSpec)
+
+from _sublinear import sublinear_state
 
 LAM_STAR_1 = 8.0 * 1.6 ** 0.25 - 1.6 ** 1.25
 U_STAR_1 = np.sqrt(1.6)
@@ -137,14 +139,14 @@ def test_branch_one_node_matches_scalar_oracle():
     branch = continue_branch(grid, _abc(), lam_start=1.0)
     assert branch.fold_bracketed
     saw_stable = False
-    for rec, state in zip(branch.records, branch.states):
+    for rec in branch.records:
         if rec.delta <= 0:
             continue
         saw_stable = True
         # stable branch: smallest root of 8*sqrt(u) - u^2.5 = lam
         u_oracle = brentq(lambda s: 8.0 * np.sqrt(s) - s ** 2.5 - rec.lam,
                           1e-14, U_STAR_1, xtol=1e-14)
-        assert state.u[0, 0] == pytest.approx(u_oracle, rel=1e-7)
+        assert rec.state.u[0, 0] == pytest.approx(u_oracle, rel=1e-7)
         assert rec.lam <= LAM_STAR_1 + 1e-8
     assert saw_stable
 
@@ -263,6 +265,48 @@ def test_records_start_their_eigenpair_from_the_state(monkeypatch):
     deltas = [rec.delta for rec in branch.records]
     assert deltas[0] > 0 >= deltas[-1]
     assert len(starts) == len(deltas) and all(starts)
+
+
+def test_continuation_route_computes_the_energy_once(monkeypatch):
+    # a record computes phi when first read, and the route reads none: the
+    # one call is solve_stable's report at the start of the branch
+    import foldfinder.fold as fold
+    import foldfinder.nehari as nehari
+
+    calls = []
+    for module in (fold, nehari):
+        monkeypatch.setattr(module, "phi", lambda *args, real=module.phi:
+                            calls.append(1) or real(*args))
+    find_fold_continuation(build_grid("interval", 63), _abc())
+    assert len(calls) == 1
+
+
+def test_corrector_stops_when_its_full_step_does_not_lower_the_residual(
+        monkeypatch):
+    # here the second arclength corrector's first correction is within
+    # max_first, but its full step does not lower the residual norm: the
+    # corrector fails after that trial instead of factoring again
+    import foldfinder.fold as fold
+
+    factors, outcomes = [], []
+    real_corrector, real_factor = fold._arclength_corrector, fold.factor_bordered
+
+    def factor(*args, **kw):
+        factors.append(1)
+        return real_factor(*args, **kw)
+
+    def corrector(*args, **kw):
+        before = len(factors)
+        result, first = real_corrector(*args, **kw)
+        outcomes.append((result is None, first <= kw["max_first"],
+                         len(factors) - before))
+        return result, first
+
+    monkeypatch.setattr(fold, "factor_bordered", factor)
+    monkeypatch.setattr(fold, "_arclength_corrector", corrector)
+    find_fold_continuation(build_grid("interval", 191),
+                           coupled_model(q=1.487503))
+    assert outcomes[:2] == [(False, True, 3), (True, True, 1)]
 
 
 def _sweep_cases():
@@ -403,13 +447,14 @@ def test_one_factor_newton_step_matches_assembled_solve(grid):
     # and at the midpoint of the continuation bracket, next to the fold
     from foldfinder.energy import hessian_operator, phi_grad
     from foldfinder.fold import _augmented_newton_step, _test_function_gradient
-    from foldfinder.linalg import factor_bordered, solve_bordered
+    from foldfinder.linalg import factor_bordered
 
     spec = _abc()
     branch = continue_branch(grid, spec, lam_start=1.0)
     assert branch.fold_bracketed
-    (sa, sb), (ra, rb) = branch.states[-2:], branch.records[-2:]
-    points = [(branch.states[0], branch.records[0].lam),
+    ra, rb = branch.records[-2:]
+    sa, sb = ra.state, rb.state
+    points = [(branch.records[0].state, branch.records[0].lam),
               (make_state(grid, spec, 0.5 * (sa.u + sb.u)),
                0.5 * (ra.lam + rb.lam))]
     for state, lam in points:
@@ -424,8 +469,8 @@ def test_one_factor_newton_step_matches_assembled_solve(grid):
                                              v.reshape(state.u.shape))
         du, dlam = _augmented_newton_step(hess, border, f, g, v, f_lam,
                                           g_u.ravel(), g_lam)
-        du_ref, dlam_ref = solve_bordered(hess, f_lam, g_u.ravel(), g_lam,
-                                          -f, -g)
+        du_ref, dlam_ref = factor_bordered(hess, f_lam, g_u.ravel(),
+                                           g_lam)(-f, -g)
         assert np.linalg.norm(du - du_ref) <= 1e-10 * np.linalg.norm(du_ref)
         assert dlam == pytest.approx(dlam_ref, rel=1e-10)
 
@@ -519,7 +564,7 @@ def test_direct_fold_factor_budget(monkeypatch, kind, n, spec):
 def test_fold_test_function_gradient_finite_difference(spec, grid):
     from foldfinder.energy import hessian_operator
     from foldfinder.fold import _test_function_gradient
-    from foldfinder.linalg import solve_bordered
+    from foldfinder.linalg import factor_bordered
 
     rng = np.random.default_rng(11)
     shape, lam, eps = (spec.m, grid.n_nodes), 2.0, 1e-5
@@ -530,7 +575,7 @@ def test_fold_test_function_gradient_finite_difference(spec, grid):
 
     def test_function(u, lam):
         hess = hessian_operator(make_state(grid, spec, u), lam)
-        v, g = solve_bordered(hess, b, b, 0.0, np.zeros(u.size), 1.0)
+        v, g = factor_bordered(hess, b, b, 0.0)(np.zeros(u.size), 1.0)
         return v.reshape(shape), g
 
     v, _ = test_function(u, lam)

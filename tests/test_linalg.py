@@ -15,46 +15,48 @@ import foldfinder
 from foldfinder import (LinearOperator, SingularBorderError, abc_model,
                         build_grid, coupled_model, factor_bordered,
                         find_fold_direct, hessian_operator, make_state,
-                        smallest_eigenpair, solve_bordered, solve_counter,
-                        solve_stable, sublinear_state, upper_bound_lambda)
+                        smallest_eigenpair, solve_counter, solve_stable,
+                        upper_bound_lambda)
 from foldfinder import linalg
+
+from _sublinear import sublinear_state
 
 
 def _laplacian_operator(n):
     g = build_grid("interval", n)
-    return g, LinearOperator.from_matrix(g.laplacian, weight=g.node_weight)
+    return g, LinearOperator(g.laplacian, g.node_weight)
 
 
 def test_bordered_two_by_two():
-    op = LinearOperator.from_matrix(sp.csr_matrix(2.0 * np.eye(1)))
-    x, y = solve_bordered(op, np.array([1.0]), np.array([1.0]), 0.0,
-                          np.array([3.0]), 1.0)
+    op = LinearOperator(sp.csr_matrix(2.0 * np.eye(1)))
+    x, y = factor_bordered(op, np.array([1.0]), np.array([1.0]), 0.0)(
+        np.array([3.0]), 1.0)
     np.testing.assert_allclose(x, [1.0], atol=1e-12)
     assert y == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bordered_singular_block_permutation():
     # zero pivot block: the border carries the whole solve
-    op = LinearOperator.from_matrix(sp.csr_matrix(np.zeros((1, 1))))
+    op = LinearOperator(sp.csr_matrix(np.zeros((1, 1))))
     for r, s in ((2.5, -1.0), (0.0, 4.0)):
-        x, y = solve_bordered(op, np.array([1.0]), np.array([1.0]), 0.0,
-                              np.array([r]), s)
+        x, y = factor_bordered(op, np.array([1.0]), np.array([1.0]), 0.0)(
+            np.array([r]), s)
         np.testing.assert_allclose(x, [s], atol=1e-10 * max(abs(s), 1.0))
         assert y == pytest.approx(r, abs=1e-10 * max(abs(r), 1.0))
 
 
 def test_bordered_singular_matrix_raises():
     # [[0, 0], [1, 0]]: SuperLU meets an exactly zero pivot
-    op = LinearOperator.from_matrix(sp.csr_matrix(np.zeros((1, 1))))
+    op = LinearOperator(sp.csr_matrix(np.zeros((1, 1))))
     with pytest.raises(SingularBorderError):
-        solve_bordered(op, np.array([0.0]), np.array([1.0]), 0.0,
-                       np.array([1.0]), 1.0)
+        factor_bordered(op, np.array([0.0]), np.array([1.0]), 0.0)(
+            np.array([1.0]), 1.0)
 
 
 def test_bordered_length_mismatch_raises_value_error():
-    op = LinearOperator.from_matrix(sp.identity(2, format="csr"))
+    op = LinearOperator(sp.identity(2, format="csr"))
     with pytest.raises(ValueError):
-        solve_bordered(op, np.ones(3), np.ones(2), 0.0, np.ones(2), 0.0)
+        factor_bordered(op, np.ones(3), np.ones(2), 0.0)(np.ones(2), 0.0)
 
 
 def test_bordered_against_dense_elimination():
@@ -73,8 +75,8 @@ def test_bordered_against_dense_elimination():
         full[4, :4] = b_row
         full[4, 4] = d
         expect = np.linalg.solve(full, np.concatenate([f, [gval]]))
-        x, y = solve_bordered(LinearOperator.from_matrix(sp.csr_matrix(a)),
-                              c, b_row, d, f, gval)
+        x, y = factor_bordered(LinearOperator(sp.csr_matrix(a)),
+                               c, b_row, d)(f, gval)
         np.testing.assert_allclose(x, expect[:4], atol=1e-10)
         assert y == pytest.approx(expect[4], abs=1e-10)
 
@@ -92,13 +94,13 @@ def test_smallest_eigenpair_interval():
 def test_smallest_eigenpair_shifted_singular():
     g = build_grid("interval", 1)
     mat = sp.csr_matrix(g.laplacian - 8.0 * sp.identity(1))
-    op = LinearOperator.from_matrix(mat, weight=g.node_weight)
+    op = LinearOperator(mat, g.node_weight)
     delta, _ = smallest_eigenpair(op, tol=1e-10 * g.stencil_scale)
     assert delta == pytest.approx(0.0, abs=1e-10)
 
 
 def test_smallest_eigenpair_diagonal():
-    op = LinearOperator.from_matrix(sp.diags([1.0, 5.0, 9.0]).tocsr())
+    op = LinearOperator(sp.diags([1.0, 5.0, 9.0]).tocsr())
     delta, phi = smallest_eigenpair(op, tol=1e-12)
     assert delta == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(np.abs(phi), [1.0, 0.0, 0.0], atol=1e-8)
@@ -108,7 +110,7 @@ def test_smallest_eigenpair_counts_every_solve():
     # on a rectangle the Lanczos iteration applies the shift-invert factor
     # many times; each application is one counted triangular solve
     g = build_grid("rectangle", 7)
-    op = LinearOperator.from_matrix(g.laplacian, weight=g.node_weight)
+    op = LinearOperator(g.laplacian, g.node_weight)
     solve_counter.reset()
     smallest_eigenpair(op, tol=1e-10 * g.stencil_scale)
     assert solve_counter.value > 1
@@ -226,10 +228,10 @@ def test_row_sums_match_the_sparse_abs_sum_bitwise(monkeypatch, kind, n, spec):
 
 
 def test_row_sums_of_empty_rows_are_zero():
-    op = LinearOperator.from_matrix([[0.0, 0.0, 0.0, 0.0],
-                                     [1.0, -2.0, 0.0, 0.0],
-                                     [0.0, 0.0, 0.0, 0.0],
-                                     [0.0, 3.0, 0.0, -4.0]])
+    op = LinearOperator(sp.csr_matrix([[0.0, 0.0, 0.0, 0.0],
+                                       [1.0, -2.0, 0.0, 0.0],
+                                       [0.0, 0.0, 0.0, 0.0],
+                                       [0.0, 3.0, 0.0, -4.0]]))
     assert np.array_equal(op.row_abs_sums, [0.0, 3.0, 0.0, 7.0])
     assert op.scale() == 7.0
     empty = LinearOperator(sp.csr_matrix((2, 2)))

@@ -4,28 +4,27 @@ import numpy as np
 import pytest
 
 from foldfinder import (GridMismatchError, apply_laplacian, build_grid,
-                        inner_product, interval_eigenvalue, norm,
-                        principal_laplacian_eigenvalue)
+                        inner_product, norm, principal_laplacian_eigenvalue)
 
 
 def test_interval_one_node_geometry():
     g = build_grid("interval", 1)
     assert g.h == (0.5,)
     assert g.n_nodes == 1
-    np.testing.assert_allclose(g.weights, [0.5])
+    assert g.node_weight == 0.5
 
 
 def test_interval_three_node_geometry():
     g = build_grid("interval", 3)
     assert g.h == (0.25,)
-    np.testing.assert_allclose(g.weights, [0.25, 0.25, 0.25])
+    assert g.node_weight == 0.25
     np.testing.assert_allclose(g.coords[:, 0], [0.25, 0.5, 0.75])
 
 
 def test_rectangle_grid_geometry():
     g = build_grid("rectangle", (3, 3))
     assert g.n_nodes == 9
-    np.testing.assert_allclose(g.weights, np.full(9, 1.0 / 16.0))
+    assert g.node_weight == 1.0 / 16.0
 
 
 def test_stencil_one_node():
@@ -93,12 +92,12 @@ def test_rectangle_laplacian_stores_only_the_stencil(n):
 
 def test_interval_eigenpairs_closed_form():
     g = build_grid("interval", 15)
-    x = g.coords[:, 0]
+    x, h = g.coords[:, 0], g.h[0]
     for k in (1, 2, 5):
-        mu = interval_eigenvalue(g, k)
-        h = g.h[0]
-        assert mu == pytest.approx((2.0 / h ** 2) * (1 - np.cos(k * np.pi * h)),
-                                   abs=1e-10)
+        mu = (2.0 / h ** 2) * (1 - np.cos(k * np.pi * h))
+        if k == 1:
+            assert principal_laplacian_eigenvalue(g) == pytest.approx(
+                mu, abs=1e-10)
         f = np.sin(k * np.pi * x)
         np.testing.assert_allclose(apply_laplacian(g, f), mu * f,
                                    rtol=1e-10, atol=1e-10)

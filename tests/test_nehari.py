@@ -5,18 +5,21 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from foldfinder import (ModelSpec, abc_model, apply_laplacian, build_grid,
                         coupled_model, eval_g, find_fold_direct, make_state,
                         newton_solve, norm, phi,
                         principal_laplacian_eigenvalue,
                         principal_laplacian_eigenvector, rayleigh_nl,
-                        solve_counter, solve_stable, solve_sublinear,
-                        stability_index, stability_tolerance, sublinear_state,
-                        upper_bound_lambda, zero_model)
+                        solve_counter, solve_stable, stability_index,
+                        stability_tolerance, upper_bound_lambda, zero_model)
 from foldfinder import nehari
 from foldfinder.energy import _fiber_peaks
 from foldfinder.model import _term_partials
+
+from _sublinear import solve_sublinear, sublinear_state
 
 
 def _abc():
@@ -311,3 +314,22 @@ def test_solve_factor_budget(monkeypatch, kind, n, spec):
     assert hessian_specs == [spec] * report.iterations
     assert kinds.count("shifted") == 1
     assert len(kinds) == report.iterations + 2
+
+
+_MAGNITUDE = st.floats(1e-300, 1e300)
+_ENTRY = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda m: arrays(
+    np.float64, st.tuples(st.just(m), st.integers(1, 8)), elements=_ENTRY)))
+@example(np.zeros((1, 3)))
+@example(np.array([[1e300, -1e300, 1e-300, 0.0]]))
+@example(np.array([[-1e-300, -1e300], [0.0, -1.0]]))
+def test_clipped_iterates_are_cone_interior(u):
+    # the shared Newton loop clips every iterate it evaluates, its start
+    # included, so none of its solvers meets a state outside the cone
+    m, n = u.shape
+    spec = _abc() if m == 1 else coupled_model(q=1.5)
+    clipped = nehari._clip_cone(u)
+    assert make_state(build_grid("interval", n), spec, clipped).cone_interior()
