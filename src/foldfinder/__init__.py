@@ -18,7 +18,7 @@ from .nehari import SolveReport, newton_solve, solve_stable
 from .cw import CwCandidate, cw_ascend, cw_value, upper_bound_lambda
 from .fold import (Branch, BranchRecord, FoldDetection, FoldPoint,
                    continue_branch, detect_fold, find_fold_continuation,
-                   find_fold_direct, fold_from_candidate, moore_spence_solve)
+                   find_fold_direct, moore_spence_solve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,20 +1,27 @@
-"""Command-line front end: configuration, run orchestration, CSV emission.
+"""Command-line front end: options, run orchestration, CSV emission.
 
 Subcommands: ``solve`` (fixed-lambda branch solve), ``fold`` (locate the
 maximal fold point), ``continue`` (trace the solution branch), ``bench``
 (compare fold methods across grids), ``check`` (model validation and
-derivative self-tests).  Exit codes: 0 success, 2 non-convergence or
-nonexistence, 3 invalid model, 64 usage error.
+derivative self-tests).  Every option is declared once, in ``_OPTIONS``,
+with the converter that types and checks its value and its help text;
+``_COMMANDS`` names each subcommand's own options, with their defaults,
+next to the common ones.  The parser's flags, the keys a ``--config`` file
+may set and the conversion of every value all read these two tables, so a
+command accepts as a flag exactly what it accepts as a key.  Flags must be
+spelled in full.  A command receives a dict of converted values, None
+where an option without a default is unset.  Exit codes: 0 success, 2
+non-convergence or nonexistence, 3 invalid model, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,39 +55,91 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# options
 
-_COMMON_KEYS = {"model", "q", "gamma", "m", "grid", "output"}
-_KEYS_BY_COMMAND = {
-    "solve": _COMMON_KEYS | {"lambda", "init", "tol"},
-    "fold": _COMMON_KEYS | {"method", "tol"},
-    "continue": _COMMON_KEYS | {"lambda_start", "step", "max_records"},
-    "bench": _COMMON_KEYS | {"grids", "methods"},
-    "check": _COMMON_KEYS | {"seed"},
+# each --method name and the fold point its route finds; the library
+# functions are looked up when called, so a rebound one is the one called
+_ROUTES = {
+    "direct": lambda grid, spec, **kw: find_fold_direct(grid, spec, **kw),
+    "continuation": lambda grid, spec, **kw: find_fold_continuation(
+        grid, spec, **kw).fold_point,
 }
-_FLOAT_KEYS = {"q", "gamma", "lambda", "lambda_start", "step", "tol"}
-_INT_KEYS = {"m", "seed", "max_records"}
 
 
-@dataclass
-class RunConfig:
-    """Flat run description merged from the config file and flags."""
+def _checked(expects: str, parse, valid=lambda value: True):
+    """Converter of an option's text: ``parse`` it, then require ``valid``.
 
-    command: str
-    values: dict = field(default_factory=dict)
+    Raises ValueError naming what the option ``expects``.
+    """
+    def convert(text: str):
+        try:
+            value = parse(text)
+            ok = valid(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"expects {expects}, got '{text}'")
+        return value
+    return convert
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
-    def require(self, key):
-        if key not in self.values:
-            raise UsageError(f"missing required option '{key}'")
-        return self.values[key]
+def _items(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def _parse_config_file(path: str, command: str) -> dict:
+def _grid(text: str) -> Grid:
+    kind, _, count = text.partition(":")
+    return build_grid(kind, int(count))
+
+
+_FINITE = _checked("a finite number", float, math.isfinite)
+_POSITIVE = _checked("a positive finite number", float,
+                     lambda x: math.isfinite(x) and x > 0)
+_ROUTE_NAMES = ", ".join(_ROUTES)
+
+# name: (converter, help, flag aliases...); the flag is --name, '_' as '-'
+_OPTIONS = {
+    "model": (str, "model name: abc, coupled, zero"),
+    "q": (_FINITE, "sublinear exponent (1 < q < 2)"),
+    "gamma": (_FINITE, "superlinear degree (abc model only)"),
+    "grid": (_checked("kind:n with kind interval or rectangle and n >= 1",
+                      _grid),
+             "grid spec kind:n, e.g. interval:127"),
+    "output": (str, "CSV output path (default stdout)", "-o"),
+    "lambda": (_POSITIVE, "branch parameter"),
+    "init": (str, "solution CSV to use as initial state"),
+    "tol": (_POSITIVE, "relative solver tolerance"),
+    "method": (_checked(f"one of {_ROUTE_NAMES}", str, _ROUTES.__contains__),
+               f"fold route: {_ROUTE_NAMES}"),
+    "lambda_start": (_POSITIVE, "lambda of the first branch record"),
+    "step": (_POSITIVE, "initial continuation step; later steps adapt to "
+             "the corrector's iteration count"),
+    "max_records": (_checked("an integer >= 1", int, lambda n: n >= 1),
+                    "most branch records to trace"),
+    "grids": (_checked("comma-separated node counts >= 1",
+                       lambda s: [int(n) for n in _items(s)],
+                       lambda ns: ns and min(ns) >= 1),
+              "comma-separated interior node counts"),
+    "methods": (_checked(f"comma-separated routes from {_ROUTE_NAMES}",
+                         _items, lambda ms: ms and set(ms) <= _ROUTES.keys()),
+                "comma-separated fold routes"),
+    "seed": (_checked("an integer >= 0", int, lambda n: n >= 0),
+             "seed for the finite-difference probes"),
+}
+
+# every command's options, with the text of its default (None for none)
+_COMMON = {"model": "abc", "q": "1.5", "gamma": None, "grid": "interval:31",
+           "output": None}
+
+
+def _defaults(command: str) -> dict:
+    """The command's options, common ones first, with their default texts."""
+    return {**_COMMON, **_COMMANDS[command][2]}
+
+
+def _read_config(path: str, command: str) -> dict:
     """Read the flat ``key = value`` file, rejecting unknown keys."""
-    allowed = _KEYS_BY_COMMAND[command]
+    allowed = _defaults(command)
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,93 +160,41 @@ def _parse_config_file(path: str, command: str) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key in _FLOAT_KEYS:
-            number = float(value)
-        elif key in _INT_KEYS:
-            number = int(value)
-        else:
-            return value
-    except ValueError:
-        raise UsageError(f"option '{key}' expects a number, got '{value}'")
-    if not math.isfinite(number):
-        raise UsageError(f"option '{key}' must be finite, got '{value}'")
-    return number
-
-
-def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
+def _options(args: argparse.Namespace) -> dict:
+    """The command's defaults, overridden by its config file and then by
+    its flags, each converted by its ``_OPTIONS`` entry."""
+    texts = _defaults(args.command)
+    if args.config:
+        texts.update(_read_config(args.config, args.command))
+    texts.update((key, value) for key, value in vars(args).items()
+                 if key in texts and value is not None)
     values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config, command))
-    for key in _KEYS_BY_COMMAND[command]:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    values = {k: _coerce(k, v) for k, v in values.items()}
-    for key in ("tol", "step"):
-        if key in values and values[key] <= 0:
-            raise UsageError(f"option '{key}' must be positive")
-    if values.get("max_records", 1) < 1:
-        raise UsageError("option 'max_records' must be at least 1")
-    return RunConfig(command=command, values=values)
+    for key, text in texts.items():
+        try:
+            values[key] = None if text is None else _OPTIONS[key][0](text)
+        except ValueError as exc:
+            raise UsageError(f"option '{key}' {exc}")
+    return values
 
 
-def _build_problem(cfg: RunConfig) -> tuple[Grid, ModelSpec]:
-    gridspec = cfg.get("grid", "interval:31")
-    kind, _, count = str(gridspec).partition(":")
+def _build_problem(opts: dict) -> tuple[Grid, ModelSpec]:
     try:
-        n = int(count)
-    except ValueError:
-        raise UsageError(f"bad grid spec '{gridspec}' (expected kind:n)")
-    try:
-        grid = build_grid(kind, n)
+        spec = make_model(opts["model"], q=opts["q"], gamma=opts["gamma"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    name = cfg.get("model", "abc")
-    kwargs = {"q": cfg.get("q", 1.5)}
-    if cfg.get("gamma") is not None:
-        kwargs["gamma"] = cfg.get("gamma")
-    if cfg.get("m") is not None:
-        kwargs["m"] = cfg.get("m")
-    try:
-        spec = make_model(name, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc))
-    return grid, spec
+    return opts["grid"], spec
 
 
 # ---------------------------------------------------------------------------
 # CSV helpers
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _FLOAT_FMT % float(x)
-
-
-def _write_csv(path, header, rows, row_format=None):
-    """Comma-delimited, '.'-decimal CSV with 17-significant-digit floats.
-
-    Rows whose cells are all floats can pass one ``row_format`` for every
-    row; it writes the bytes that formatting each cell would.
-    """
-    sink = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(header)
-        if row_format is None:
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
-        else:
-            sink.write("".join(row_format % tuple(row) for row in rows))
-    finally:
-        if path:
-            sink.close()
+def _write_csv(path, header, rows, row_format: str) -> None:
+    """Comma-delimited, '.'-decimal CSV: the header, then ``row_format %
+    row`` for each row, with ``%.17g`` for floats."""
+    with open(path, "w", newline="", encoding="utf-8") if path \
+            else contextlib.nullcontext(sys.stdout) as sink:
+        sink.write(",".join(header) + "\n")
+        sink.write("".join(row_format % tuple(row) for row in rows))
 
 
 def _field_header(grid: Grid, m: int, names=("u",)) -> list[str]:
@@ -244,7 +251,7 @@ def read_solution_csv(path, grid: Grid, spec: ModelSpec) -> State:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _validated(grid: Grid, spec: ModelSpec) -> int | None:
+def _validated(spec: ModelSpec) -> int | None:
     report = validate_hypotheses(spec)
     if not report.ok:
         print(report.summary())
@@ -252,84 +259,73 @@ def _validated(grid: Grid, spec: ModelSpec) -> int | None:
     return None
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    grid, spec = _build_problem(cfg)
-    bad = _validated(grid, spec)
+def cmd_solve(opts: dict) -> int:
+    grid, spec = _build_problem(opts)
+    bad = _validated(spec)
     if bad is not None:
         return bad
-    lam = float(cfg.require("lambda"))
-    if lam <= 0:
-        raise UsageError("lambda must be positive")
+    lam = opts["lambda"]
+    if lam is None:
+        raise UsageError("missing required option 'lambda'")
     bound = upper_bound_lambda(spec, grid)
     if lam > bound:
-        print(f"lambda={_fmt(lam)} exceeds the solvability bound "
-              f"{_fmt(bound)}: no positive solutions exist")
+        print(f"lambda={lam:.17g} exceeds the solvability bound "
+              f"{bound:.17g}: no positive solutions exist")
         return EXIT_NO_CONVERGENCE
-    init_path = cfg.get("init")
+    init_path = opts["init"]
     init = read_solution_csv(init_path, grid, spec) if init_path else None
-    winner = solve_stable(grid, spec, lam, init=init,
-                          tol=float(cfg.get("tol", 1e-11)))
+    winner = solve_stable(grid, spec, lam, init=init, tol=opts["tol"])
     if not winner.converged:
         source = f" from the init state {init_path}" if init_path else ""
-        print(f"no converged stable solution at lambda={_fmt(lam)}{source}: "
+        print(f"no converged stable solution at lambda={lam:.17g}{source}: "
               f"{winner.message}")
         return EXIT_NO_CONVERGENCE
-    write_solution_csv(cfg.get("output"), grid, winner.state.u)
-    print(f"lambda={_fmt(lam)} phi={_fmt(winner.energy)} "
-          f"delta={_fmt(winner.delta)} residual={_fmt(winner.residual_norm)} "
+    write_solution_csv(opts["output"], grid, winner.state.u)
+    print(f"lambda={lam:.17g} phi={winner.energy:.17g} "
+          f"delta={winner.delta:.17g} residual={winner.residual_norm:.17g} "
           f"iterations={winner.iterations}")
     return EXIT_OK
 
 
-def cmd_fold(cfg: RunConfig) -> int:
-    grid, spec = _build_problem(cfg)
-    method = cfg.get("method", "direct")
-    if method not in ("direct", "continuation"):
-        raise UsageError(f"unknown fold method '{method}'")
+def cmd_fold(opts: dict) -> int:
+    grid, spec = _build_problem(opts)
     # nonexistence of a fold (g with no superlinear part) is reported before
     # hypothesis validation so it surfaces as a non-convergence signal
     if not spec.degrees:
         print("model has no superlinear part: no fold exists")
         return EXIT_NO_CONVERGENCE
-    bad = _validated(grid, spec)
+    bad = _validated(spec)
     if bad is not None:
         return bad
-    tol = float(cfg.get("tol", 1e-12))
     try:
-        if method == "direct":
-            fp = find_fold_direct(grid, spec, tol=tol)
-        else:
-            fp = find_fold_continuation(grid, spec, tol=tol).fold_point
+        fp = _ROUTES[opts["method"]](grid, spec, tol=opts["tol"])
     except (ConvergenceError, NoFoldError) as exc:
         print(f"fold search failed: {exc}")
         return EXIT_NO_CONVERGENCE
-    write_fold_csv(cfg.get("output"), grid, fp.state.u, fp.v)
+    write_fold_csv(opts["output"], grid, fp.state.u, fp.v)
     r1, r2, r3 = fp.residuals
-    print(f"lambda_star={_fmt(fp.lam)} delta={_fmt(fp.delta)} "
-          f"residuals={_fmt(r1)},{_fmt(r2)},{_fmt(r3)} "
+    print(f"lambda_star={fp.lam:.17g} delta={fp.delta:.17g} "
+          f"residuals={r1:.17g},{r2:.17g},{r3:.17g} "
           f"iterations={fp.newton_iterations}")
     return EXIT_OK
 
 
-def cmd_continue(cfg: RunConfig) -> int:
-    lam_start = float(cfg.get("lambda_start", 0.5))
-    if lam_start <= 0:
-        raise UsageError("lambda_start must be positive")
-    grid, spec = _build_problem(cfg)
-    bad = _validated(grid, spec)
+def cmd_continue(opts: dict) -> int:
+    grid, spec = _build_problem(opts)
+    bad = _validated(spec)
     if bad is not None:
         return bad
     try:
-        branch = continue_branch(grid, spec, lam_start=lam_start,
-                                 step=float(cfg.get("step", 0.05)),
-                                 max_records=int(cfg.get("max_records", 200)))
+        branch = continue_branch(grid, spec, lam_start=opts["lambda_start"],
+                                 step=opts["step"],
+                                 max_records=opts["max_records"])
     except ConvergenceError as exc:
         print(f"branch trace failed: {exc}")
         return EXIT_NO_CONVERGENCE
     header = ["lambda", "sup_norm", "energy", "delta", "corrector_iters"]
     rows = [(r.lam, r.sup_norm, r.energy, r.delta, r.corrector_iters)
             for r in branch.records]
-    _write_csv(cfg.get("output"), header, rows)
+    _write_csv(opts["output"], header, rows, "%.17g,%.17g,%.17g,%.17g,%d\n")
     print(f"records={len(branch.records)} "
           f"fold_bracketed={str(branch.fold_bracketed).lower()}")
     return EXIT_OK
@@ -339,51 +335,35 @@ def _bench_one(method: str, n: int, spec: ModelSpec):
     grid = build_grid("interval", n)
     solve_counter.reset()
     t0 = time.perf_counter()
-    if method == "direct":
-        lam = find_fold_direct(grid, spec).lam
-    else:
-        lam = find_fold_continuation(grid, spec).lambda_moore_spence
-    elapsed = time.perf_counter() - t0
-    return (method, n, lam, elapsed, solve_counter.reset())
+    lam = _ROUTES[method](grid, spec).lam
+    return method, n, lam, time.perf_counter() - t0, solve_counter.reset()
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    grid_list = str(cfg.get("grids", "31,63,127,255"))
-    method_list = str(cfg.get("methods", "direct,continuation"))
-    try:
-        sizes = [int(s) for s in grid_list.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"bad grid list '{grid_list}'")
-    methods = [s.strip() for s in method_list.split(",") if s.strip()]
-    if not sizes or not methods:
-        raise UsageError("empty benchmark matrix")
-    for method in methods:
-        if method not in ("direct", "continuation"):
-            raise UsageError(f"unknown bench method '{method}'")
-    _, spec = _build_problem(cfg)
-    bad = _validated(build_grid("interval", sizes[0]), spec)
+def cmd_bench(opts: dict) -> int:
+    _, spec = _build_problem(opts)
+    bad = _validated(spec)
     if bad is not None:
         return bad
     try:
         results = [_bench_one(method, n, spec)
-                   for method in methods for n in sizes]
+                   for method in opts["methods"] for n in opts["grids"]]
     except (ConvergenceError, NoFoldError) as exc:
         print(f"benchmark run failed: {exc}")
         return EXIT_NO_CONVERGENCE
     header = ["method", "grid_n", "lambda_star", "wall_seconds",
               "linear_solves"]
-    _write_csv(cfg.get("output"), header, results)
+    _write_csv(opts["output"], header, results, "%s,%d,%.17g,%.17g,%d\n")
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    grid, spec = _build_problem(cfg)
+def cmd_check(opts: dict) -> int:
+    grid, spec = _build_problem(opts)
     report = validate_hypotheses(spec)
     print(report.summary())
     if not report.ok:
         return EXIT_INVALID_MODEL
     # finite-difference self-tests for the energy derivatives
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(opts["seed"])
     u = 0.5 + rng.random((spec.m, grid.n_nodes))
     xi = rng.standard_normal((spec.m, grid.n_nodes))
     state = make_state(grid, spec, u)
@@ -394,7 +374,7 @@ def cmd_check(cfg: RunConfig) -> int:
           - phi(make_state(grid, spec, u - eps * xi), lam)) / (2 * eps)
     exact = inner_product(grid, phi_grad(state, lam), xi)
     rel_g = abs(fd - exact) / max(abs(exact), 1e-30)
-    print(f"gradient_fd_error={_fmt(rel_g)}")
+    print(f"gradient_fd_error={rel_g:.17g}")
     ok &= rel_g <= 1e-6
 
     hess = hessian_operator(state, lam)
@@ -402,7 +382,7 @@ def cmd_check(cfg: RunConfig) -> int:
             - phi_grad(make_state(grid, spec, u - eps * xi), lam)) / (2 * eps)
     exact_h = hess(xi.ravel()).reshape(xi.shape)
     rel_h = norm(grid, fd_h - exact_h) / max(norm(grid, exact_h), 1e-30)
-    print(f"hessian_fd_error={_fmt(rel_h)}")
+    print(f"hessian_fd_error={rel_h:.17g}")
     ok &= rel_h <= 1e-6
 
     v = rng.standard_normal(xi.shape)
@@ -412,12 +392,12 @@ def cmd_check(cfg: RunConfig) -> int:
     exact_t = np.einsum("ijn,jn->in",
                         _third_derivative_blocks(state, lam, v), xi)
     rel_t = norm(grid, fd_t - exact_t) / max(norm(grid, exact_t), 1e-30)
-    print(f"third_derivative_fd_error={_fmt(rel_t)}")
+    print(f"third_derivative_fd_error={rel_t:.17g}")
     ok &= rel_t <= 1e-6
 
     mat = hess.matrix
     asym = abs(mat - mat.T).max()
-    print(f"hessian_asymmetry={_fmt(asym)}")
+    print(f"hessian_asymmetry={asym:.17g}")
     ok &= asym <= 1e-12 * grid.stencil_scale
 
     if not ok:
@@ -430,63 +410,43 @@ def cmd_check(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--model", help="model name: abc, coupled, zero")
-    sub.add_argument("--q", help="sublinear exponent (1 < q < 2)")
-    sub.add_argument("--gamma", help="superlinear degree (abc model)")
-    sub.add_argument("--m", help="component count (zero model)")
-    sub.add_argument("--grid", help="grid spec kind:n, e.g. interval:127")
-    sub.add_argument("--output", "-o", help="CSV output path (default stdout)")
+# name: (handler, help, own options with the text of their defaults)
+_COMMANDS = {
+    "solve": (cmd_solve, "solve at a fixed lambda",
+              {"lambda": None, "init": None, "tol": "1e-11"}),
+    "fold": (cmd_fold, "locate the maximal fold point",
+             {"method": "direct", "tol": "1e-12"}),
+    "continue": (cmd_continue, "trace the solution branch",
+                 {"lambda_start": "0.5", "step": "0.05",
+                  "max_records": "200"}),
+    "bench": (cmd_bench, "benchmark fold methods across grids",
+              {"grids": "31,63,127,255", "methods": "direct,continuation"}),
+    "check": (cmd_check, "validate the model and derivatives",
+              {"seed": "0"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="foldfinder",
+    parser = _Parser(prog="foldfinder", allow_abbrev=False,
                      description="Locate maximal fold points of "
                                  "sublinear-superlinear Dirichlet systems.")
     subs = parser.add_subparsers(dest="command", metavar="command")
-
-    p = subs.add_parser("solve", help="solve at a fixed lambda")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lambda", help="branch parameter")
-    p.add_argument("--init", help="solution CSV to use as initial state")
-    p.add_argument("--tol", help="relative solver tolerance")
-
-    p = subs.add_parser("fold", help="locate the maximal fold point")
-    _add_common(p)
-    p.add_argument("--method", help="direct or continuation")
-    p.add_argument("--tol", help="relative augmented-Newton tolerance")
-
-    p = subs.add_parser("continue", help="trace the solution branch")
-    _add_common(p)
-    p.add_argument("--lambda-start", dest="lambda_start")
-    p.add_argument("--step", help="initial continuation step; later steps "
-                   "adapt to the corrector's iteration count")
-    p.add_argument("--max-records", dest="max_records")
-
-    p = subs.add_parser("bench", help="benchmark fold methods across grids")
-    _add_common(p)
-    p.add_argument("--grids", help="comma-separated interior node counts")
-    p.add_argument("--methods", help="comma-separated method names")
-
-    p = subs.add_parser("check", help="validate the model and derivatives")
-    _add_common(p)
-    p.add_argument("--seed", help="seed for the finite-difference probes")
+    for command, (_, help_text, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text, allow_abbrev=False)
+        sub.add_argument("--config", help="flat key = value config file")
+        for name in _defaults(command):
+            _, option_help, *aliases = _OPTIONS[name]
+            sub.add_argument("--" + name.replace("_", "-"), *aliases,
+                             dest=name, help=option_help)
     return parser
 
 
-_DISPATCH = {"solve": cmd_solve, "fold": cmd_fold, "continue": cmd_continue,
-             "bench": cmd_bench, "check": cmd_check}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
-        cfg = _merge_config(args, args.command)
-        return _DISPATCH[args.command](cfg)
+        return _COMMANDS[args.command][0](_options(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,7 +33,9 @@ class State:
     u: np.ndarray  # shape (m, n_nodes)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        # one layout for every state: sums over a state differ in their
+        # last bit between C and F order
+        u = np.ascontiguousarray(self.u, dtype=float)
         if u.ndim == 1:
             u = u[None, :]
         if u.shape != (self.spec.m, self.grid.n_nodes):

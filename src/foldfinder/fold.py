@@ -40,11 +40,11 @@ from .errors import (ConeError, ConvergenceError, NoFoldError,
                      SingularBorderError)
 from .energy import State, hessian_operator, make_state, phi, phi_grad
 from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
-                     smallest_eigenpair)
+                     smallest_eigenpair, _BACKWARD_TOL)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_stable, _newton, _Point
-from .cw import CwCandidate, cw_ascend, upper_bound_lambda
+from .cw import cw_ascend, upper_bound_lambda
 from .spectrum import StabilityResult, stability_index
 
 
@@ -158,7 +158,7 @@ def _test_function_gradient(state: State, lam: float,
 
 def _augmented_newton_step(hess: LinearOperator, border, f: np.ndarray,
                            g: float, v: np.ndarray, f_lam: np.ndarray,
-                           g_u: np.ndarray, g_lam: float, tol: float = 1e-10
+                           g_u: np.ndarray, g_lam: float
                            ) -> tuple[np.ndarray, float]:
     """Newton step of {F = 0, g = 0} on the factor that gave (v, g).
 
@@ -171,7 +171,8 @@ def _augmented_newton_step(hess: LinearOperator, border, f: np.ndarray,
     transversality condition and g_u' v != 0 the quadratic-fold condition,
     so no elimination runs through the singular H.  Vectors are flat.
     Raises ``SingularBorderError`` when the 2x2 system is singular or the
-    backward error of the step in the full Newton system exceeds ``tol``.
+    backward error of the step in the full Newton system exceeds
+    ``linalg._BACKWARD_TOL``.
     """
     x1, y1 = border(-f, 0.0)
     x2, y2 = border(f_lam, 0.0)
@@ -188,15 +189,18 @@ def _augmented_newton_step(hess: LinearOperator, border, f: np.ndarray,
     ref = (math.hypot(np.linalg.norm(f), g)
            + (np.linalg.norm(f_lam) + np.linalg.norm(g_u) + abs(g_lam)
               + hess.scale()) * math.hypot(np.linalg.norm(du), dlam))
-    if not res <= tol * ref:
+    if not res <= _BACKWARD_TOL * ref:
         raise SingularBorderError("augmented Newton system is numerically "
                                   "singular", condition_estimate=ref / res)
     return du, float(dlam)
 
 
+_MAX_AUGMENTED = 50   # Newton steps of one augmented fold solve
+
+
 def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                        init_v: np.ndarray, init_lam: float,
-                       tol: float = 1e-12, max_iters: int = 50) -> FoldPoint:
+                       tol: float = 1e-12) -> FoldPoint:
     """Damped Newton (``nehari._newton``, a step halved up to 25 times) on
     the minimally augmented fold system {F = 0, g = 0}, whose merit is
     ||F||^2 + g^2.
@@ -265,10 +269,10 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                     "augmented Newton diverged "
                     "(residual not halved over 5 steps)",
                     residual=history[-1], iterations=it, best=best)
-            if it == max_iters:
+            if it == _MAX_AUGMENTED:
                 raise ConvergenceError("augmented Newton hit its iteration cap",
                                        residual=history[-1],
-                                       iterations=max_iters, best=best)
+                                       iterations=it, best=best)
             if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
                     and abs(point.step[1]) <= tol * max(abs(point.lam), 1.0):
                 break
@@ -297,17 +301,6 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                      history=tuple(history))
 
 
-def fold_from_candidate(cand: CwCandidate, tol: float = 1e-12) -> FoldPoint:
-    """Augmented-Newton refinement seeded by a ``cw_ascend`` candidate.
-
-    The border is the principal eigenfield the ascent leaves on it.
-    """
-    state = cand.state
-    return moore_spence_solve(state.grid, state.spec, state,
-                              cand.stability.eigenfield, cand.lambda_cw,
-                              tol=tol)
-
-
 def find_fold_direct(grid: Grid, spec: ModelSpec, *,
                      tol: float = 1e-12) -> FoldPoint:
     """Direct pipeline: Collatz-Wielandt ascent, then augmented Newton.
@@ -315,7 +308,8 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     The ascent starts from the torsion function L^-1 1, one solve on the
     Laplacian factor it uses anyway (its fiber rescale makes the result
     independent of scale), and stops at a stable branch solution below
-    lambda*; the augmented Newton climbs from there to the fold.  The
+    lambda*; the augmented Newton climbs from there to the fold, bordered
+    by the principal eigenfield the ascent leaves on its candidate.  The
     a-priori bound only decides whether a fold exists.  The augmented
     Newton converges to any singular point, so an ascent that ends on an
     unstable state raises ``ConvergenceError`` instead of seeding it.
@@ -331,7 +325,9 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
         raise ConvergenceError(
             f"ascent ended on an unstable state (delta={cand.delta:.3e})",
             iterations=cand.iterations)
-    return fold_from_candidate(cand, tol=tol)
+    return moore_spence_solve(grid, spec, cand.state,
+                              cand.stability.eigenfield, cand.lambda_cw,
+                              tol=tol)
 
 
 def find_fold_continuation(grid: Grid, spec: ModelSpec, *,
@@ -383,10 +379,12 @@ _ALPHA = 0.15       # nominal ratio of the first correction to the step
 _ALPHA_MAX = 0.5    # a corrector whose ratio exceeds this stops at once
 _GROW = 1.7         # largest growth of the step after an accepted corrector
 
+_BRANCH_TOL = 1e-11   # Newton tolerance of the branch trace, relative
+_MAX_CORRECTOR = 12   # Newton steps of one arclength corrector
+
 
 def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
-                    step: float = 0.05, max_records: int = 200,
-                    tol: float = 1e-11) -> Branch:
+                    step: float = 0.05, max_records: int = 200) -> Branch:
     """Trace the stable branch from lam_start until a fold is bracketed.
 
     Natural-parameter stepping with a secant predictor; the step is scaled
@@ -416,7 +414,7 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
     lam_start, keeps that solve's delta, and its ``corrector_iters`` counts
     that solve's Newton steps.
     """
-    rep = solve_stable(grid, spec, lam_start, tol=tol)
+    rep = solve_stable(grid, spec, lam_start, tol=_BRANCH_TOL)
     if not rep.converged:
         raise ConvergenceError(
             f"initial solve failed at lambda={lam_start:g}: {rep.message}")
@@ -443,7 +441,8 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
             else:
                 u_pred = cur[0].u
             st, ok, iters, _ = newton_solve(
-                grid, spec, lam_new, make_state(grid, spec, u_pred), tol=tol)
+                grid, spec, lam_new, make_state(grid, spec, u_pred),
+                tol=_BRANCH_TOL)
             bend = 0.0
             if ok:
                 record(st, lam_new, iters)
@@ -487,7 +486,7 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
         tu, tlam = tangent
         result, first = _arclength_corrector(
             grid, spec, cur[0].u + ds * tu, cur[1] + ds * tlam, tu, tlam,
-            tol, max_first=_ALPHA_MAX * ds)
+            max_first=_ALPHA_MAX * ds)
         if result is not None:
             st, lam_new, iters, border = result
             record(st, lam_new, iters)
@@ -502,7 +501,6 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
 
 def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          lam_pred: float, tu: np.ndarray, tlam: float,
-                         tol: float, max_iters: int = 12,
                          max_first: float = math.inf):
     """Newton corrector on {residual = 0, tangent plane through predictor}.
 
@@ -517,7 +515,7 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
     axis; at once when ``first`` exceeds ``max_first``; and when a
     correction is not shorter than the one before it.
     """
-    tol_abs = tol * grid.stencil_scale
+    tol_abs = _BRANCH_TOL * grid.stencil_scale
     w = grid.node_weight
 
     def evaluate(u, lam):
@@ -539,7 +537,7 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
     first, last, border = 0.0, math.inf, None
     for it, (point, _) in enumerate(_newton(evaluate, u_pred, lam_pred, 0)):
         rn, con = point.data
-        if it == max_iters:
+        if it == _MAX_CORRECTOR:
             break
         if rn <= tol_abs and abs(con) <= tol_abs:
             return (point.state, point.lam, it, border), first
@@ -584,7 +582,7 @@ def _regula_falsi(a: BranchRecord, b: BranchRecord) -> float:
         tu, tlam = du / tnorm, dlam / tnorm
         t = min(max(fa / (fa - fb), 0.05), 0.95)
         result, _ = _arclength_corrector(grid, spec, sa.u + t * du,
-                                         la + t * dlam, tu, tlam, tol=1e-11)
+                                         la + t * dlam, tu, tlam)
         if result is None:
             break
         st, lam_m = result[:2]

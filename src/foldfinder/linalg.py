@@ -106,6 +106,10 @@ class LinearOperator:
 # by at most two columns store 105,926 and factor 1.3-1.7x faster.
 _SUPERNODES = {"relax": 2, "panel_size": 2}
 
+# largest relative backward error of a bordered solve, and of the augmented
+# Newton step computed on its factor
+_BACKWARD_TOL = 1e-10
+
 # keyed by grid and dropped with it: {(dim, bordered): the column order, then
 # its _Pattern from the second factor on; "laplacian": solve}.  Nothing in a
 # value refers back to its grid.
@@ -220,7 +224,7 @@ def laplacian_solve(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
-                    d: float, tol: float = 1e-10
+                    d: float
                     ) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
     """Factor the bordered matrix [[A, c], [b', d]] once for many solves.
 
@@ -230,7 +234,7 @@ def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
     singular, so no elimination runs through A (Govaerts 2000).  Raises
     ``SingularBorderError`` when the factorization meets an exactly zero
     pivot, and each solve raises it when the backward error of its solution
-    exceeds ``tol``.
+    exceeds ``_BACKWARD_TOL``.
     """
     c = np.asarray(c, dtype=float).ravel()
     b_row = np.asarray(b_row, dtype=float).ravel()
@@ -253,7 +257,7 @@ def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
         x, y = sol[:n], sol[n]
         res = np.linalg.norm(np.append(op(x) + y * c, b_row @ x + d * y) - rhs)
         ref = np.linalg.norm(rhs) + size * np.linalg.norm(sol)
-        if not res <= tol * ref:
+        if not res <= _BACKWARD_TOL * ref:
             raise SingularBorderError("bordered system is numerically singular",
                                       condition_estimate=ref / res)
         return x, float(y)

@@ -254,12 +254,14 @@ def zero_model(q: float, m: int = 1) -> ModelSpec:
     return ModelSpec(m=m, q=q, terms=())
 
 
-def make_model(name: str, *, q: float, gamma: float | None = None,
-               m: int = 1) -> ModelSpec:
+def make_model(name: str, *, q: float,
+               gamma: float | None = None) -> ModelSpec:
+    """The named model; only ``abc`` has a ``gamma`` (default 4)."""
     if name == "abc":
         return abc_model(q, gamma if gamma is not None else 4.0)
-    if name == "coupled":
-        return coupled_model(q)
-    if name == "zero":
-        return zero_model(q, m=m)
-    raise ValueError(f"unknown model {name!r} (expected abc, coupled, or zero)")
+    if name not in ("coupled", "zero"):
+        raise ValueError(f"unknown model {name!r} "
+                         "(expected abc, coupled, or zero)")
+    if gamma is not None:
+        raise ValueError(f"the {name} model has no gamma")
+    return coupled_model(q) if name == "coupled" else zero_model(q)

@@ -41,6 +41,7 @@ from .spectrum import stability_index, stability_tolerance
 _CLIP_REL = 1e-12  # cone floor used to keep iterates strictly interior
 _SWEEP_RTOL = 1e-6    # relative change that hands the iteration to Newton
 _MAX_SWEEPS = 1000    # near lambda* the rate tends to 1: Newton finishes
+_MAX_NEWTON = 40      # Newton steps of one fixed-lambda solve
 
 
 @dataclass
@@ -133,13 +134,9 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
 
 
 def _clip_cone(u: np.ndarray) -> np.ndarray:
-    """u raised to the cone floor, C-ordered whatever the layout of u.
-
-    ``_laplacian_step`` leaves its states F-ordered, and sums over a state
-    differ in their last bit between the two layouts.
-    """
+    """u raised to the cone floor."""
     floor = _CLIP_REL * max(float(np.abs(u).max()), 1e-300)
-    return np.maximum(u, floor, order="C")
+    return np.maximum(u, floor)
 
 
 @dataclass
@@ -199,7 +196,7 @@ def _newton(evaluate: Callable[[np.ndarray, float], _Point], u: np.ndarray,
 
 
 def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
-                 tol: float = 1e-12, max_iters: int = 40) -> tuple[State, bool, int, float]:
+                 tol: float = 1e-12) -> tuple[State, bool, int, float]:
     """Damped Newton on the residual at fixed lambda (``_newton``).
 
     Returns (state, converged, iterations, residual_norm).  The merit is
@@ -208,7 +205,7 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
     damped step in a row ends it, not converged: above the fold, where no
     solution exists, every step needs damping, and a failed continuation
     corrector then stops in two or three steps instead of running to
-    ``max_iters``.
+    ``_MAX_NEWTON``.
     """
     tol_abs = tol * grid.stencil_scale
 
@@ -223,7 +220,7 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
     for it, (point, alpha) in enumerate(_newton(evaluate, init.u, lam, 30)):
         if damped and alpha < 1.0:
             return point.state, False, it, point.merit
-        if point.merit <= tol_abs or it == max_iters:
+        if point.merit <= tol_abs or it == _MAX_NEWTON:
             return point.state, point.merit <= tol_abs, it, point.merit
         damped = alpha < 1.0
     return point.state, False, it + 1, point.merit

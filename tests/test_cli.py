@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, CSV contracts, determinism."""
 
+import argparse
 import ast
 import csv
 import inspect
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +18,8 @@ import foldfinder
 from foldfinder import (build_grid, make_model, phi, stability_index,
                         stability_tolerance)
 from foldfinder.cli import (EXIT_INVALID_MODEL, EXIT_NO_CONVERGENCE, EXIT_OK,
-                            EXIT_USAGE, main, read_solution_csv,
-                            write_fold_csv)
+                            EXIT_USAGE, UsageError, build_parser, main,
+                            read_solution_csv, write_fold_csv, _read_config)
 
 
 def run(args):
@@ -159,6 +161,7 @@ def test_fold_continuation_on_rectangle_agrees_with_direct(capsys):
     ("solve", "lambda", "nan"), ("continue", "lambda_start", "nan"),
     ("continue", "lambda_start", "inf"), ("continue", "step", "inf"),
     ("continue", "step", "nan"), ("continue", "max_records", "0"),
+    ("bench", "grids", "0"), ("check", "seed", "-1"),
 ])
 def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
                                                      value):
@@ -175,6 +178,7 @@ def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
     ("continue", "tol", "1e-6"), ("bench", "tol", "1e-6"),
     ("check", "tol", "1e-6"), ("fold", "restarts", "3"),
     ("solve", "restarts", "3"), ("solve", "seed", "3"),
+    ("continue", "lambda", "2"), ("fold", "m", "2"),
 ])
 def test_unused_seed_and_tol_rejected(tmp_path, capsys, command, key, value):
     # each command accepts seed and tol only where it uses them; fold runs
@@ -187,6 +191,57 @@ def test_unused_seed_and_tol_rejected(tmp_path, capsys, command, key, value):
     cfg.write_text(f"model = abc\n{key} = {value}\n")
     assert run([command, "--config", str(cfg)]) == EXIT_USAGE
     assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["coupled", "zero"])
+def test_gamma_rejected_for_a_model_without_gamma(tmp_path, capsys, model):
+    # only abc has a superlinear degree to set; elsewhere gamma went nowhere
+    assert run(["fold", "--model", model, "--gamma", "5",
+                "--grid", "interval:7"]) == EXIT_USAGE
+    assert "no gamma" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = {model}\ngamma = 5\ngrid = interval:7\n")
+    assert run(["fold", "--config", str(cfg)]) == EXIT_USAGE
+    assert "no gamma" in capsys.readouterr().err
+
+
+def test_every_flag_is_a_config_key_of_its_command(tmp_path):
+    # a command's flags and its config keys come from one option table
+    parser = build_parser()
+    subparsers = next(action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {command: {action.dest for action in sub._actions}
+             - {"help", "config"} for command, sub in subparsers.items()}
+    assert set(dests) == {"solve", "fold", "continue", "bench", "check"}
+    every = set().union(*dests.values())
+    cfg = tmp_path / "run.cfg"
+    for command, own in dests.items():
+        accepted = set()
+        for key in every:
+            cfg.write_text(f"{key} = 1\n")
+            try:
+                _read_config(str(cfg), command)
+            except UsageError:
+                continue
+            accepted.add(key)
+        assert accepted == own, command
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} \
+        == {"solve", "fold", "continue", "bench", "check"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "foldfinder"
+        assert run(argv[1:]) == EXIT_OK, argv
 
 
 def test_unknown_flag_usage_error():

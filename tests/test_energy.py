@@ -224,3 +224,14 @@ def test_hessians_on_one_grid_do_not_share_data(coupled):
     np.testing.assert_array_equal(grid.laplacian.toarray(), lap)
     third = hessian_operator(state, 1.7).matrix
     assert np.all(np.isfinite(third.data))
+
+
+def test_state_layout_does_not_change_its_energy():
+    # sums over an F-ordered array can differ in their last bit from the
+    # C-ordered sums; a state stores one layout whatever it was built from
+    from foldfinder.nehari import _minimal_solution
+
+    grid, spec = build_grid("interval", 31), coupled_model(q=1.5)
+    u = np.array(_minimal_solution(grid, spec, 0.5)[0].u)
+    assert phi(make_state(grid, spec, np.asfortranarray(u)), 0.5) \
+        == phi(make_state(grid, spec, np.ascontiguousarray(u)), 0.5)

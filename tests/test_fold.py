@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 from foldfinder import (ConeError, ConvergenceError, NoFoldError, abc_model,
                         build_grid, continue_branch, coupled_model, cw_ascend,
                         detect_fold, find_fold_continuation, find_fold_direct,
-                        fold_from_candidate,
                         make_state, moore_spence_solve, newton_solve,
                         stability_index, stability_tolerance,
                         upper_bound_lambda, zero_model, ModelSpec)
@@ -72,7 +71,7 @@ def test_direct_fold_near_q_two(kind, n, lam_ref):
         assert not newton_solve(grid, spec, 1.01 * fp.lam, init)[1]
 
 
-def test_fold_from_candidate_reuses_the_ascent_eigenpair(monkeypatch):
+def test_direct_fold_reuses_the_ascent_eigenpair(monkeypatch):
     grid, spec = build_grid("interval", 31), _abc()
     cand = cw_ascend(sublinear_state(grid, spec, 2.0))
     expect = moore_spence_solve(grid, spec, cand.state,
@@ -82,8 +81,9 @@ def test_fold_from_candidate_reuses_the_ascent_eigenpair(monkeypatch):
     def fail(state):
         raise AssertionError("stability index solved again")
 
+    monkeypatch.setattr("foldfinder.fold.cw_ascend", lambda init: cand)
     monkeypatch.setattr("foldfinder.fold.stability_index", fail)
-    assert fold_from_candidate(cand).lam == expect
+    assert find_fold_direct(grid, spec).lam == expect
 
 
 def test_direct_rejects_an_unstable_ascent_end(monkeypatch):
@@ -503,7 +503,8 @@ def test_moore_spence_factors_one_bordered_matrix_per_iterate(
 
     monkeypatch.setattr(linalg, "_factorized", factorized)
     monkeypatch.setattr(fold, "hessian_operator", hessian)
-    fp = fold_from_candidate(cand)
+    monkeypatch.setattr(fold, "cw_ascend", lambda init: cand)
+    fp = find_fold_direct(grid, spec)
     n = spec.m * grid.n_nodes
     assert len(iterates) >= fp.newton_iterations > 1
     assert sizes.count(n + 1) == len(iterates)
