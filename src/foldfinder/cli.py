@@ -108,7 +108,8 @@ _OPTIONS = {
     "output": (str, "CSV output path (default stdout)", "-o"),
     "lambda": (_POSITIVE, "branch parameter"),
     "init": (str, "solution CSV to use as initial state"),
-    "tol": (_POSITIVE, "relative solver tolerance"),
+    "tol": (_POSITIVE, "solver tolerance, relative to the stencil scale "
+            "times the norm of the iterate"),
     "method": (_checked(f"one of {_ROUTE_NAMES}", str, _ROUTES.__contains__),
                f"fold route: {_ROUTE_NAMES}"),
     "lambda_start": (_POSITIVE, "lambda of the first branch record"),
@@ -128,8 +129,8 @@ _OPTIONS = {
 }
 
 # every command's options, with the text of its default (None for none)
-_COMMON = {"model": "abc", "q": "1.5", "gamma": None, "grid": "interval:31",
-           "output": None}
+_COMMON = {"model": "abc", "q": "1.5", "gamma": None}
+_GRID, _OUTPUT = {"grid": "interval:31"}, {"output": None}
 
 
 def _defaults(command: str) -> dict:
@@ -177,12 +178,11 @@ def _options(args: argparse.Namespace) -> dict:
     return values
 
 
-def _build_problem(opts: dict) -> tuple[Grid, ModelSpec]:
+def _model(opts: dict) -> ModelSpec:
     try:
-        spec = make_model(opts["model"], q=opts["q"], gamma=opts["gamma"])
+        return make_model(opts["model"], q=opts["q"], gamma=opts["gamma"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    return opts["grid"], spec
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def _validated(spec: ModelSpec) -> int | None:
 
 
 def cmd_solve(opts: dict) -> int:
-    grid, spec = _build_problem(opts)
+    grid, spec = opts["grid"], _model(opts)
     bad = _validated(spec)
     if bad is not None:
         return bad
@@ -288,7 +288,7 @@ def cmd_solve(opts: dict) -> int:
 
 
 def cmd_fold(opts: dict) -> int:
-    grid, spec = _build_problem(opts)
+    grid, spec = opts["grid"], _model(opts)
     # nonexistence of a fold (g with no superlinear part) is reported before
     # hypothesis validation so it surfaces as a non-convergence signal
     if not spec.degrees:
@@ -311,7 +311,7 @@ def cmd_fold(opts: dict) -> int:
 
 
 def cmd_continue(opts: dict) -> int:
-    grid, spec = _build_problem(opts)
+    grid, spec = opts["grid"], _model(opts)
     bad = _validated(spec)
     if bad is not None:
         return bad
@@ -340,7 +340,7 @@ def _bench_one(method: str, n: int, spec: ModelSpec):
 
 
 def cmd_bench(opts: dict) -> int:
-    _, spec = _build_problem(opts)
+    spec = _model(opts)
     bad = _validated(spec)
     if bad is not None:
         return bad
@@ -357,7 +357,7 @@ def cmd_bench(opts: dict) -> int:
 
 
 def cmd_check(opts: dict) -> int:
-    grid, spec = _build_problem(opts)
+    grid, spec = opts["grid"], _model(opts)
     report = validate_hypotheses(spec)
     print(report.summary())
     if not report.ok:
@@ -413,16 +413,18 @@ def cmd_check(opts: dict) -> int:
 # name: (handler, help, own options with the text of their defaults)
 _COMMANDS = {
     "solve": (cmd_solve, "solve at a fixed lambda",
-              {"lambda": None, "init": None, "tol": "1e-11"}),
+              {**_GRID, **_OUTPUT, "lambda": None, "init": None,
+               "tol": "1e-11"}),
     "fold": (cmd_fold, "locate the maximal fold point",
-             {"method": "direct", "tol": "1e-12"}),
+             {**_GRID, **_OUTPUT, "method": "direct", "tol": "1e-12"}),
     "continue": (cmd_continue, "trace the solution branch",
-                 {"lambda_start": "0.5", "step": "0.05",
+                 {**_GRID, **_OUTPUT, "lambda_start": "0.5", "step": "0.05",
                   "max_records": "200"}),
     "bench": (cmd_bench, "benchmark fold methods across grids",
-              {"grids": "31,63,127,255", "methods": "direct,continuation"}),
+              {**_OUTPUT, "grids": "31,63,127,255",
+               "methods": "direct,continuation"}),
     "check": (cmd_check, "validate the model and derivatives",
-              {"seed": "0"}),
+              {**_GRID, "seed": "0"}),
 }
 
 

@@ -25,7 +25,7 @@ energy are computed when first read.  The augmented Newton refines the fold from
 the bracket end nearer to it; regula falsi (the Illinois variant) on the
 stability index narrows the bracket only when its independent estimate
 ``FoldDetection.lambda_bisect`` is read.  ``find_fold_continuation``
-starts the branch at half the a-priori bound.
+starts the branch below a certified lower bound of lambda*.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_stable, _newton, _Point
-from .cw import cw_ascend, upper_bound_lambda
+from .cw import cw_ascend, cw_value, upper_bound_lambda, _fiber_argmax
 from .spectrum import StabilityResult, stability_index
 
 
@@ -203,7 +203,7 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                        tol: float = 1e-12) -> FoldPoint:
     """Damped Newton (``nehari._newton``, a step halved up to 25 times) on
     the minimally augmented fold system {F = 0, g = 0}, whose merit is
-    ||F||^2 + g^2.
+    sqrt(||F||^2 + g^2).
 
     The name is that of the Moore-Spence system {F = 0, H v = 0, <v, v> = 1}
     it used to solve; it stays because it is public and gives the same fold
@@ -212,20 +212,19 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     its solve gives (v, g), and two more solves on the same factor give
     the Newton step (``_augmented_newton_step``).  The factor is released
     before the line search, so one bordered factor is alive at a time.
-    ``tol`` is relative to the stencil scale.  Newton stops once ||F|| and
-    |g| are at most ``tol`` times the stencil scale and the lambda part of
-    the Newton correction at the current iterate, its error estimate, is at
-    most ``tol`` relative to max(|lambda|, 1); that correction is not
-    applied.  The residuals alone stop wherever the last iterate happens to
-    land, which leaves lambda* depending on the starting point.  Converged
-    points satisfy all three residual bounds (v at quadrature norm one),
-    carry the eigen-certificate (Lanczos started from v), the number of
-    Newton steps applied and the merit history sqrt(||F||^2 + g^2) of the
-    start and each accepted iterate: one entry more than steps.
+    Newton stops at a point that ``_newton`` marks converged with ``tol``
+    and whose Newton correction has a lambda part, its error estimate, of
+    at most ``tol`` relative to max(|lambda|, 1); that correction is not
+    applied.  The merit alone stops wherever the last iterate happens to
+    land, which leaves lambda* depending on the starting point.  It fails
+    when its merit is not halved over 5 steps, at ``_MAX_AUGMENTED``
+    steps, when no trial is accepted, and when a step is singular.
+    Converged points carry the residuals (v at quadrature norm one), the
+    eigen-certificate (Lanczos started from v), the number of Newton steps
+    applied and the merit history of the start and each accepted iterate:
+    one entry more than steps.
     """
-    m, n = spec.m, grid.n_nodes
-    scale = grid.stencil_scale
-    tol_abs = tol * scale
+    m, n, scale = spec.m, grid.n_nodes, grid.stencil_scale
     w = grid.node_weight
 
     b = np.asarray(init_v, dtype=float).ravel()
@@ -241,7 +240,6 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
         border = factor_bordered(hess, b, b, 0.0)
         v, g = border(np.zeros(m * n), 1.0)
         v = v.reshape(m, n)
-        theta = norm(grid, f) ** 2 + g ** 2
 
         def solve():
             g_u, g_lam = _test_function_gradient(state, lam, v)
@@ -250,21 +248,18 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                 -(state.u ** (spec.q - 1.0)).ravel(), g_u.ravel(), g_lam)
             return du.reshape(m, n), dlam
 
-        # a merit below tol_abs^2 counts as zero: a trial that stays there
-        # is accepted without lowering it
-        return _Point(state, lam, theta if theta >= tol_abs ** 2 else 0.0,
-                      solve, (f, g, v, hess, theta))
+        return _Point(state, lam, math.hypot(norm(grid, f), g), solve,
+                      (f, v, hess))
 
     history, best, it = [], None, -1
     try:
         for it, (point, _) in enumerate(_newton(evaluate, init_u.u,
-                                                float(init_lam), 25)):
-            f, g, v, hess, theta = point.data
-            history.append(math.sqrt(theta))
+                                                float(init_lam), 25, tol)):
+            f, v, hess = point.data
+            history.append(point.merit)
             if best is None or history[-1] < best[0]:
                 best = (history[-1], point.state, v, point.lam)
-            if len(history) > 5 and history[-1] > 0.5 * history[-6] \
-                    and history[-1] > tol_abs:
+            if len(history) > 5 and history[-1] > 0.5 * history[-6]:
                 raise ConvergenceError(
                     "augmented Newton diverged "
                     "(residual not halved over 5 steps)",
@@ -273,7 +268,7 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                 raise ConvergenceError("augmented Newton hit its iteration cap",
                                        residual=history[-1],
                                        iterations=it, best=best)
-            if norm(grid, f) <= tol_abs and abs(g) <= tol_abs \
+            if point.converged \
                     and abs(point.step[1]) <= tol * max(abs(point.lam), 1.0):
                 break
         else:
@@ -301,24 +296,33 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
                      history=tuple(history))
 
 
+def _start(grid: Grid, spec: ModelSpec) -> tuple[float, State]:
+    """The a-priori bound Lambda and the torsion state L^-1 1 that both
+    routes start from: one solve on the grid's Laplacian factor, in every
+    component.  Raises ``NoFoldError`` on an infinite Lambda."""
+    bound = upper_bound_lambda(spec, grid)
+    if not math.isfinite(bound):
+        raise NoFoldError("the a-priori bound is infinite; no fold exists")
+    torsion = laplacian_solve(grid)(np.ones(grid.n_nodes))
+    return bound, make_state(grid, spec, np.tile(torsion, (spec.m, 1)))
+
+
 def find_fold_direct(grid: Grid, spec: ModelSpec, *,
                      tol: float = 1e-12) -> FoldPoint:
     """Direct pipeline: Collatz-Wielandt ascent, then augmented Newton.
 
-    The ascent starts from the torsion function L^-1 1, one solve on the
-    Laplacian factor it uses anyway (its fiber rescale makes the result
-    independent of scale), and stops at a stable branch solution below
-    lambda*; the augmented Newton climbs from there to the fold, bordered
-    by the principal eigenfield the ascent leaves on its candidate.  The
-    a-priori bound only decides whether a fold exists.  The augmented
-    Newton converges to any singular point, so an ascent that ends on an
-    unstable state raises ``ConvergenceError`` instead of seeding it.
+    The ascent starts from the torsion state of ``_start`` (its fiber
+    rescale makes the result independent of scale), and stops at a stable
+    branch solution below lambda*; the augmented Newton climbs from there
+    to the fold, bordered by the principal eigenfield the ascent leaves on
+    its candidate.  The a-priori bound only decides whether a fold exists.
+    The augmented Newton converges to any singular point, so an ascent that
+    ends on an unstable state raises ``ConvergenceError`` instead of
+    seeding it.
     """
-    if not math.isfinite(upper_bound_lambda(spec, grid)):
-        raise NoFoldError("the a-priori bound is infinite; no fold exists")
-    torsion = laplacian_solve(grid)(np.ones(grid.n_nodes))
+    _, torsion = _start(grid, spec)
     try:
-        cand = cw_ascend(make_state(grid, spec, np.tile(torsion, (spec.m, 1))))
+        cand = cw_ascend(torsion)
     except ConeError as exc:
         raise ConvergenceError(f"ascent left the positive cone: {exc}") from exc
     if not cand.stable:
@@ -334,20 +338,22 @@ def find_fold_continuation(grid: Grid, spec: ModelSpec, *,
                            tol: float = 1e-12) -> FoldDetection:
     """Continuation pipeline: trace the stable branch, then ``detect_fold``.
 
-    The branch starts at half the a-priori bound Lambda with a first step
-    of a tenth of that.  The solution size grows like lambda^(1/(2-q)), so
-    a fixed start such as lambda = 1 lies below the solvers' absolute
-    tolerance near q = 2.  Over the sweep cases of the tests Lambda/lambda*
-    lies in 1.003-1.77, so the start is at most 0.89 lambda*; a start above
-    lambda* would end in ``solve_stable``'s "monotone iteration diverged"
-    (``ConvergenceError``), not in a wrong answer.  Raises ``NoFoldError``
-    on an infinite Lambda, as ``find_fold_direct`` does; ``tol`` is the
-    augmented-Newton tolerance.
+    The branch starts at min(Lambda / 2, 0.9 lambda_lo), with a first step
+    of a tenth of that.  Lambda is the a-priori bound and lambda_lo the
+    Collatz-Wielandt value of the torsion state of ``_start`` after one
+    fiber rescale (``cw._fiber_argmax``), the first rescale of the direct
+    route's ascent.  Any positive w is a supersolution at lambda_cw(w), and
+    a small enough multiple of the sine mode a subsolution below it, so a
+    solution exists there (Amann) and lambda_lo <= lambda*; on a one-node
+    grid it can equal lambda*, hence the factor 0.9.  Lambda / 2 alone lies
+    above lambda* wherever Lambda / lambda* > 2, as for some systems.
+    Raises ``NoFoldError`` on an infinite Lambda, as ``find_fold_direct``
+    does; ``tol`` is the augmented-Newton tolerance.
     """
-    bound = upper_bound_lambda(spec, grid)
-    if not math.isfinite(bound):
-        raise NoFoldError("the a-priori bound is infinite; no fold exists")
-    lam_start = 0.5 * bound
+    bound, torsion = _start(grid, spec)
+    t = _fiber_argmax(torsion)
+    lam_lo = cw_value(torsion.with_u(t * torsion.u)).lambda_cw
+    lam_start = min(0.5 * bound, 0.9 * lam_lo)
     branch = continue_branch(grid, spec, lam_start=lam_start,
                              step=0.1 * lam_start)
     return detect_fold(grid, spec, branch, tol=tol)
@@ -504,18 +510,18 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          max_first: float = math.inf):
     """Newton corrector on {residual = 0, tangent plane through predictor}.
 
-    Full steps of ``nehari._newton`` (no halving), whose merit is the norm
-    of both residuals.  Returns ((state, lam, Newton steps taken, border),
-    first), the steps counted as ``newton_solve`` counts them, ``border``
-    the solve function of the last bordered factor (None when no step was
-    taken) and ``first`` the length of the first Newton correction; the
-    first item is None when the corrector fails.  It fails when a full step
-    does not lower the merit or collapses onto the trivial solution u = 0,
-    which meets every tangent plane that is not parallel to the lambda
-    axis; at once when ``first`` exceeds ``max_first``; and when a
-    correction is not shorter than the one before it.
+    Full steps of ``nehari._newton`` (no halving, tolerance _BRANCH_TOL),
+    whose merit is the norm of both residuals.  Returns ((state, lam,
+    Newton steps taken, border), first), the steps counted as
+    ``newton_solve`` counts them, ``border`` the solve function of the last
+    bordered factor (None when no step was taken) and ``first`` the length
+    of the first Newton correction; the first item is None when the
+    corrector fails.  It fails when a full step does not lower the merit or
+    collapses onto the trivial solution u = 0, which meets every tangent
+    plane that is not parallel to the lambda axis; at once when ``first``
+    exceeds ``max_first``; and when a correction is not shorter than the
+    one before it.
     """
-    tol_abs = _BRANCH_TOL * grid.stencil_scale
     w = grid.node_weight
 
     def evaluate(u, lam):
@@ -531,15 +537,14 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
             dx, dlam = border(-f.ravel(), -con)
             return dx.reshape(u.shape), dlam, border
 
-        rn = norm(grid, f)
-        return _Point(state, lam, math.hypot(rn, con), solve, (rn, con))
+        return _Point(state, lam, math.hypot(norm(grid, f), con), solve)
 
     first, last, border = 0.0, math.inf, None
-    for it, (point, _) in enumerate(_newton(evaluate, u_pred, lam_pred, 0)):
-        rn, con = point.data
+    for it, (point, _) in enumerate(_newton(evaluate, u_pred, lam_pred, 0,
+                                            _BRANCH_TOL)):
         if it == _MAX_CORRECTOR:
             break
-        if rn <= tol_abs and abs(con) <= tol_abs:
+        if point.converged:
             return (point.state, point.lam, it, border), first
         try:
             dx, dlam, border = point.step

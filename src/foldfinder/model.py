@@ -249,9 +249,9 @@ def coupled_model(q: float) -> ModelSpec:
     ))
 
 
-def zero_model(q: float, m: int = 1) -> ModelSpec:
-    """Pure sublinear problem, g == 0 (no fold exists)."""
-    return ModelSpec(m=m, q=q, terms=())
+def zero_model(q: float) -> ModelSpec:
+    """Pure sublinear scalar problem, g == 0 (no fold exists)."""
+    return ModelSpec(m=1, q=q, terms=())
 
 
 def make_model(name: str, *, q: float,

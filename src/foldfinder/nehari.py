@@ -13,9 +13,9 @@ the result.
 
 ``_newton`` is the damped Newton loop of all three Newton systems
 (Deuflhard 2004): ``newton_solve`` here, and the arclength corrector and
-the augmented fold Newton of ``fold``.  It owns the cone clip, the step
-and the one backtracking line search; each solver supplies its residual,
-merit and Newton step as a ``_Point`` and keeps its own stop test and
+the augmented fold Newton of ``fold``.  It owns the cone clip, the step,
+the one backtracking line search and the one stop test; each solver
+supplies its residual norm and Newton step as a ``_Point`` and keeps its
 failure rules.  The module keeps the name of the Nehari-manifold descent
 it used to hold, because the benchmark tracer (``perfbench/tracer.py``)
 reports its spans as ``nehari.*``.
@@ -103,8 +103,8 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
     Without ``init`` the monotone iteration of ``_minimal_solution`` gives
     the Newton start; with it, Newton starts from ``init``.  The result
     counts as converged when Newton converges and the stability index lies
-    above ``stability_tolerance``.  ``tol`` is relative to the stencil
-    scale; ``iterations`` counts the Newton steps applied.
+    above ``stability_tolerance``.  ``tol`` is ``newton_solve``'s;
+    ``iterations`` counts the Newton steps applied.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -143,9 +143,9 @@ def _clip_cone(u: np.ndarray) -> np.ndarray:
 class _Point:
     """An iterate of ``_newton``, evaluated by its solver.
 
-    The line search lowers ``merit``; ``data`` holds what the solver's stop
-    test reads.  ``step`` is the Newton correction (du, dlam, ...): it calls
-    ``solve`` on first read and then drops it, with any factor it holds.
+    ``merit``, the residual norm, is lowered by the line search and read by
+    the stop test.  ``step`` is the Newton correction (du, dlam, ...): it
+    calls ``solve`` on first read and drops it, with any factor it holds.
     """
 
     state: State
@@ -153,6 +153,7 @@ class _Point:
     merit: float
     solve: Callable[[], tuple] | None = field(repr=False)
     data: tuple = ()
+    converged: bool = False
 
     @cached_property
     def step(self) -> tuple:
@@ -161,32 +162,40 @@ class _Point:
 
 
 def _newton(evaluate: Callable[[np.ndarray, float], _Point], u: np.ndarray,
-            lam: float, halvings: int) -> Iterator[tuple[_Point, float]]:
+            lam: float, halvings: int, tol: float
+            ) -> Iterator[tuple[_Point, float]]:
     """Damped Newton: yields the start, then each accepted iterate, with the
     step length alpha that reached it (1 for the start).
 
-    ``evaluate(u, lam)`` is the solver's ``_Point`` at (u, lam).  Every
-    iterate, the start too, is clipped onto the cone, so each evaluated
-    state is cone interior.  The trial along a point's step is accepted
-    when its merit is at most (1 - 1e-4 alpha) times the point's and its
-    sup norm exceeds 1e-8 of the start's: a trial collapsed onto the
-    trivial branch is no positive solution.  Otherwise alpha is halved, at
-    most ``halvings`` times.  The iteration ends when no trial is accepted;
-    the caller ends it at its own stop test.  A rejected trial is dropped
-    before the next is evaluated, so the line search holds one trial, and
-    its factor, at a time.
+    ``evaluate(u, lam)`` is the solver's ``_Point`` at (u, lam); every
+    iterate, the start too, is clipped onto the cone.  A point has
+    converged when its merit is at most ``tol`` times the stencil scale
+    times the quadrature norm of its state, so a small state near q = 2
+    does not pass whatever it is.  A trial along a point's step is accepted
+    when its sup norm exceeds 1e-8 of the start's (u = 0 is no positive
+    solution) and it has converged or its merit is at most
+    (1 - 1e-4 alpha) times the point's; otherwise alpha is halved, at most
+    ``halvings`` times.  The iteration ends when no trial is accepted.  A
+    rejected trial is dropped before the next is evaluated, so the line
+    search holds one trial, and its factor, at a time.
     """
-    point, alpha = evaluate(_clip_cone(u), lam), 1.0
+    def at(u, lam):
+        point = evaluate(_clip_cone(u), lam)
+        grid = point.state.grid
+        point.converged = point.merit <= tol * grid.stencil_scale \
+            * norm(grid, point.state.u)
+        return point
+
+    point, alpha = at(u, lam), 1.0
     sup0 = max(point.state.sup, 1e-300)
     while True:
         yield point, alpha
         du, dlam = point.step[:2]
         alpha = 1.0
         for _ in range(halvings + 1):
-            trial = evaluate(_clip_cone(point.state.u + alpha * du),
-                             point.lam + alpha * dlam)
-            if trial.merit <= (1.0 - 1e-4 * alpha) * point.merit \
-                    and trial.state.sup > 1e-8 * sup0:
+            trial = at(point.state.u + alpha * du, point.lam + alpha * dlam)
+            decrease = trial.merit <= (1.0 - 1e-4 * alpha) * point.merit
+            if (trial.converged or decrease) and trial.state.sup > 1e-8 * sup0:
                 break
             del trial
             alpha *= 0.5
@@ -199,16 +208,14 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
                  tol: float = 1e-12) -> tuple[State, bool, int, float]:
     """Damped Newton on the residual at fixed lambda (``_newton``).
 
-    Returns (state, converged, iterations, residual_norm).  The merit is
-    the residual norm, and a step is halved up to 30 times, so a long first
-    step from a fold point is damped instead of ending the solve.  A second
-    damped step in a row ends it, not converged: above the fold, where no
-    solution exists, every step needs damping, and a failed continuation
-    corrector then stops in two or three steps instead of running to
-    ``_MAX_NEWTON``.
+    Returns (state, converged, iterations, residual_norm); ``tol`` is the
+    stop test's.  A step is halved up to 30 times, so a long first step
+    from a fold point is damped instead of ending the solve.  A second
+    damped step in a row to an unconverged point ends it: above the fold,
+    where no solution exists, every step needs damping, and a failed
+    continuation corrector then stops in two or three steps instead of
+    running to ``_MAX_NEWTON``.
     """
-    tol_abs = tol * grid.stencil_scale
-
     def evaluate(u, lam):
         state = make_state(grid, spec, u)
         res = phi_grad(state, lam)
@@ -217,10 +224,9 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
             .reshape(res.shape), 0.0))
 
     damped = False
-    for it, (point, alpha) in enumerate(_newton(evaluate, init.u, lam, 30)):
-        if damped and alpha < 1.0:
-            return point.state, False, it, point.merit
-        if point.merit <= tol_abs or it == _MAX_NEWTON:
-            return point.state, point.merit <= tol_abs, it, point.merit
+    for it, (point, alpha) in enumerate(_newton(evaluate, init.u, lam, 30,
+                                                tol)):
+        if point.converged or it == _MAX_NEWTON or damped and alpha < 1.0:
+            return point.state, point.converged, it, point.merit
         damped = alpha < 1.0
     return point.state, False, it + 1, point.merit

@@ -183,7 +183,7 @@ def test_criterion_7_formula_invariants():
 
 
 def test_criterion_8_sublinear_stability_classification():
-    spec = zero_model(q=Q, m=1)
+    spec = zero_model(q=Q)
     grid1 = build_grid("interval", 1)
     ok = True
     for lam in (1.0, 4.0, 16.0):

@@ -16,7 +16,7 @@ import pytest
 
 import foldfinder
 from foldfinder import (build_grid, make_model, phi, stability_index,
-                        stability_tolerance)
+                        stability_tolerance, upper_bound_lambda)
 from foldfinder.cli import (EXIT_INVALID_MODEL, EXIT_NO_CONVERGENCE, EXIT_OK,
                             EXIT_USAGE, UsageError, build_parser, main,
                             read_solution_csv, write_fold_csv, _read_config)
@@ -109,9 +109,25 @@ def test_continue_branch_csv(tmp_path):
     lams = [float(r[0]) for r in rows[1:]]
     deltas = [float(r[3]) for r in rows[1:]]
     flip = next(i for i, d in enumerate(deltas) if d <= 0)
-    # monotone increase along the stable branch, then the fold bracket
-    assert all(b > a for a, b in zip(lams[:flip], lams[1:flip + 1]))
-    assert any(d <= 0 for d in deltas)
+    # monotone increase along the stable branch, then the fold bracket; the
+    # record past the fold lies on the unstable branch, below lambda*
+    assert all(b > a for a, b in zip(lams[:flip], lams[1:flip]))
+    assert flip > 0 and any(d <= 0 for d in deltas)
+
+
+def test_continue_near_q_two_traces_a_real_branch(tmp_path):
+    # with an absolute stop test every record but the last held a state of
+    # sup 1e-26, with lambda doubling up to 2e17 against Lambda = 9.28
+    out = tmp_path / "branch.csv"
+    assert run(["continue", "--q", "1.95", "--gamma", "4",
+                "-o", str(out)]) == EXIT_OK
+    rows = _read_rows(out)[1:]
+    lams = [float(r[0]) for r in rows]
+    deltas = [float(r[3]) for r in rows]
+    spec = make_model("abc", q=1.95, gamma=4.0)
+    assert max(lams) <= upper_bound_lambda(spec, build_grid("interval", 31))
+    assert deltas[-2] > 0 >= deltas[-1]
+    assert lams[-1] < lams[-2] < 9.2608159 < lams[-2] * (1 + 1e-3)
 
 
 def test_continue_lambda_end_is_unknown_flag(tmp_path):
@@ -163,14 +179,16 @@ def test_fold_continuation_on_rectangle_agrees_with_direct(capsys):
     ("continue", "step", "nan"), ("continue", "max_records", "0"),
     ("bench", "grids", "0"), ("check", "seed", "-1"),
 ])
-def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
-                                                     value):
+def test_non_finite_or_out_of_range_option_rejected(tmp_path, capsys,
+                                                     command, key, value):
     flag = "--" + key.replace("_", "-")
-    assert run([command, "--model", "abc", "--grid", "interval:7",
-                flag, value]) == EXIT_USAGE
+    grid = [] if command == "bench" else ["--grid", "interval:7"]
+    assert run([command, "--model", "abc", *grid, flag, value]) == EXIT_USAGE
+    assert f"option '{key}'" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"model = abc\ngrid = interval:7\n{key} = {value}\n")
+    cfg.write_text(f"model = abc\n{key} = {value}\n")
     assert run([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert f"option '{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -179,12 +197,16 @@ def test_non_finite_or_out_of_range_option_rejected(tmp_path, command, key,
     ("check", "tol", "1e-6"), ("fold", "restarts", "3"),
     ("solve", "restarts", "3"), ("solve", "seed", "3"),
     ("continue", "lambda", "2"), ("fold", "m", "2"),
+    ("bench", "grid", "interval:7"), ("check", "output", "check.csv"),
 ])
 def test_unused_seed_and_tol_rejected(tmp_path, capsys, command, key, value):
     # each command accepts seed and tol only where it uses them; fold runs
     # one ascent and solve one deterministic solve, so neither has restarts
-    # or a seed.  The error names the key, not some other missing option
-    assert run([command, "--model", "abc", "--grid", "interval:7",
+    # or a seed.  bench builds its own grids from --grids and check writes
+    # no CSV, so neither has --grid or --output respectively.  The error
+    # names the key, not some other missing option
+    grid = [] if command == "bench" else ["--grid", "interval:7"]
+    assert run([command, "--model", "abc", *grid,
                 f"--{key}", value]) == EXIT_USAGE
     assert f"--{key}" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"

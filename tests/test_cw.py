@@ -107,7 +107,7 @@ def test_ascend_climbs_to_a_branch_solution_below_the_fold(spec, kind, n):
 
 def test_ascend_zero_model_diverges_flagged():
     grid = build_grid("interval", 9)
-    spec = zero_model(q=1.5, m=1)
+    spec = zero_model(q=1.5)
     init = sublinear_state(grid, spec, 4.0)
     cand = cw_ascend(init, max_iters=120)
     # with no superlinear part the ratios grow along the fiber without bound
@@ -145,7 +145,7 @@ def test_upper_bound_three_nodes_closed_form():
 def test_upper_bound_positive_and_infinite_cases():
     grid = build_grid("interval", 7)
     assert upper_bound_lambda(coupled_model(q=1.5), grid) > 0.0
-    assert upper_bound_lambda(zero_model(q=1.5, m=1), grid) == np.inf
+    assert upper_bound_lambda(zero_model(q=1.5), grid) == np.inf
 
 
 def test_stable_candidates_respect_upper_bound():
@@ -343,7 +343,7 @@ def test_fiber_argmax_edge_returns():
     dip = make_state(grid, abc_model(q=1.5, gamma=4.0),
                      np.array([[1.0, 0.2, 1.0]]))
     assert cw._fiber_argmax(dip) == 1.0
-    bump = make_state(grid, zero_model(q=1.5, m=1),
+    bump = make_state(grid, zero_model(q=1.5),
                       np.array([[1.0, 1.5, 1.0]]))
     assert _bisection_reference(bump) is None
     assert cw._fiber_argmax(bump) is None

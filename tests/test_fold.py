@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from foldfinder import (ConeError, ConvergenceError, NoFoldError, abc_model,
                         build_grid, continue_branch, coupled_model, cw_ascend,
                         detect_fold, find_fold_continuation, find_fold_direct,
-                        make_state, moore_spence_solve, newton_solve,
+                        make_state, moore_spence_solve, newton_solve, norm,
                         stability_index, stability_tolerance,
                         upper_bound_lambda, zero_model, ModelSpec)
 
@@ -161,7 +161,7 @@ def test_branch_delta_positive_before_bracket():
 
 def test_branch_zero_model_never_folds():
     grid = build_grid("interval", 9)
-    spec = zero_model(q=1.5, m=1)
+    spec = zero_model(q=1.5)
     branch = continue_branch(grid, spec, lam_start=1.0, max_records=40)
     assert not branch.fold_bracketed
     assert len(branch.records) == 40
@@ -185,7 +185,7 @@ def test_detect_fold_one_node():
 
 def test_detect_fold_requires_sign_change():
     grid = build_grid("interval", 9)
-    spec = zero_model(q=1.5, m=1)
+    spec = zero_model(q=1.5)
     branch = continue_branch(grid, spec, lam_start=1.0, max_records=20)
     with pytest.raises(NoFoldError):
         detect_fold(grid, spec, branch)
@@ -224,18 +224,31 @@ def test_detect_fold_regula_falsi_needs_few_stability_solves(monkeypatch):
 
 
 def test_detect_fold_steps_back_to_the_last_sign_change():
-    # the last record lies past the fold, and so does the one before it:
-    # its tangent came from the corrector's factor at the iterate before
-    # convergence and still pointed forward, so tracing went one record on
+    # a branch whose last two records lie past the fold, as when a tangent
+    # from the corrector's factor at the iterate before convergence still
+    # points forward.  Its records are the branch points at the arclength
+    # offsets s = -2h, -h, h, 2h along the null direction at the fold: s < 0
+    # is the stable side, s > 0 the unstable one
+    import foldfinder.fold as fold
+
     grid, spec = build_grid("interval", 191), abc_model(q=1.467806,
                                                         gamma=4.258611)
-    branch = continue_branch(grid, spec, lam_start=1.0)
-    assert branch.records[-2].delta <= 0 >= branch.records[-1].delta
+    fp = find_fold_direct(grid, spec)
+    h = 0.1 * norm(grid, fp.state.u)
+    records = []
+    for s in (-2 * h, -h, h, 2 * h):
+        result, _ = fold._arclength_corrector(
+            grid, spec, fp.state.u + s * fp.v, fp.lam, fp.v, 0.0)
+        records.append(fold.BranchRecord(lam=result[1],
+                                         corrector_iters=result[2],
+                                         state=result[0]))
+    branch = fold.Branch(records=records, fold_bracketed=True)
+    assert [rec.delta > 0 for rec in records] == [True, True, False, False]
     det = detect_fold(grid, spec, branch)
-    assert det.lambda_moore_spence == pytest.approx(
-        find_fold_direct(grid, spec).lam, rel=1e-10)
-    lo, hi = det.bracket
-    assert lo < det.lambda_moore_spence < hi
+    assert det.ends[0] is records[1] and det.ends[1] is records[2]
+    assert det.lambda_moore_spence == pytest.approx(fp.lam, rel=1e-10)
+    # lambda* is the largest lambda of the branch
+    assert max(det.bracket) < det.lambda_moore_spence
 
 
 def test_continuation_route_rejects_an_infinite_bound():
@@ -318,13 +331,20 @@ def _sweep_cases():
         yield abc_model(q=q, gamma=4.0), "rectangle", 15
 
 
-def test_tangent_fold_test_agrees_with_delta_over_a_sweep():
+def test_tangent_fold_test_agrees_with_delta_over_a_sweep(monkeypatch):
     # the branch stops where the lambda part of its tangent turns
     # nonpositive; the stability index must change sign exactly there.
-    # Tracing delta at every record bracketed these cases in 526 records
+    # Each branch starts where find_fold_continuation starts it.  Tracing
+    # delta at every record bracketed these cases in 526 records
+    import foldfinder.fold as fold
+
+    branches = []
+    monkeypatch.setattr(fold, "detect_fold", lambda grid, spec, branch, **kw:
+                        branches.append(branch))
     total, wrong = 0, []
     for spec, kind, n in _sweep_cases():
-        branch = continue_branch(build_grid(kind, n), spec, lam_start=1.0)
+        find_fold_continuation(build_grid(kind, n), spec)
+        branch = branches.pop()
         total += len(branch.records)
         deltas = [rec.delta for rec in branch.records]
         first = next((i for i, d in enumerate(deltas) if d <= 0), None)
@@ -336,10 +356,7 @@ def test_tangent_fold_test_agrees_with_delta_over_a_sweep():
 
 def test_continuation_route_agrees_with_direct_over_the_sweep():
     # the two pipelines of `fold --method continuation` and `--method
-    # direct`.  Started at lambda = 1, continuation failed the 8 cases with
-    # q >= 1.9 ("augmented Newton diverged"): the states there lie below
-    # the solvers' absolute tolerance.  Lambda / lambda* lies in 1.003-1.77
-    # here, so the start at Lambda / 2 stays below lambda*
+    # direct`, continuation from its certified start
     wrong = []
     for spec, kind, n in _sweep_cases():
         grid = build_grid(kind, n)
@@ -350,13 +367,56 @@ def test_continuation_route_agrees_with_direct_over_the_sweep():
     assert not wrong
 
 
+def test_branches_from_a_tenth_of_the_bound_agree_and_stay_below_it():
+    # the stop test is relative to the size of the iterate, so a small
+    # state near q = 2 does not pass it whatever it is.  With the absolute
+    # test the 8 cases with q >= 1.9 ended in "augmented Newton diverged"
+    # from here.  No record may lie above the a-priori bound Lambda, where
+    # no positive solution exists
+    wrong, above = [], []
+    for spec, kind, n in _sweep_cases():
+        grid = build_grid(kind, n)
+        bound = upper_bound_lambda(spec, grid)
+        branch = continue_branch(grid, spec, lam_start=0.1 * bound,
+                                 step=0.01 * bound)
+        above += [(spec.q, spec.terms, kind, rec.lam, bound)
+                  for rec in branch.records if rec.lam > bound]
+        cont = detect_fold(grid, spec, branch).lambda_moore_spence
+        direct = find_fold_direct(grid, spec).lam
+        if not abs(cont - direct) <= 1e-10 * direct:
+            wrong.append((spec.q, spec.terms, kind, cont, direct))
+    assert not wrong
+    assert not above
+
+
+@pytest.mark.parametrize("kind, n, spec", [
+    ("interval", 3, ModelSpec(m=2, q=1.15, terms=((0.17, (0, 3.67)),
+                                                   (1.0, (3.64, 0))))),
+    ("rectangle", 11, ModelSpec(m=3, q=1.15, terms=(
+        (1.56, (0, 5.9, 0)), (1.0, (3.65, 0, 0)), (1.0, (0, 0, 3.65))))),
+], ids=["interval-3", "rectangle-11"])
+def test_continuation_starts_below_the_fold_of_a_system(kind, n, spec):
+    # Lambda / lambda* is 2.54 and 2.25 here, so a start at Lambda / 2
+    # lies above lambda* ("monotone iteration diverged"); the start at 0.9
+    # lambda_lo of the torsion state lies below it
+    grid = build_grid(kind, n)
+    direct = find_fold_direct(grid, spec).lam
+    assert upper_bound_lambda(spec, grid) > 2.0 * direct
+    cont = find_fold_continuation(grid, spec).lambda_moore_spence
+    assert cont == pytest.approx(direct, rel=1e-10)
+
+
 @pytest.mark.parametrize("spec, record_bound", [
-    (abc_model(q=1.5, gamma=4.0), 15), (coupled_model(q=1.5), 12)],
+    (abc_model(q=1.5, gamma=4.0), 15), (coupled_model(q=1.5), 13)],
     ids=["abc", "coupled"])
 def test_continuation_work_budget(monkeypatch, spec, record_bound):
     # no eigenpair per record, and natural stepping tries at most one
-    # lambda past the fold; the record bounds are those of tracing delta
-    # at every record
+    # lambda past the fold.  The abc bound is that of tracing delta at
+    # every record.  The coupled states up to lambda = 1.6 have norm 0.01 -
+    # 0.03, so the stop test relative to the norm asks 30 - 100 times more
+    # of them than the absolute test of that bound did: the natural step to
+    # lambda = 1.575 takes three Newton steps, not two, the next step grows
+    # by 1.5 instead of 2, and the branch takes one record more
     import foldfinder.fold as fold
 
     def no_eigenpair(state, **kw):

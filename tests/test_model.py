@@ -121,7 +121,7 @@ def test_coupled_model_passes():
 
 
 def test_zero_model_fails_superlinearity():
-    report = validate_hypotheses(zero_model(q=1.5, m=1))
+    report = validate_hypotheses(zero_model(q=1.5))
     assert not report.g4
 
 

@@ -1,5 +1,6 @@
 """Stable-branch solver, Newton corrector and the sublinear family."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_solve_one_node_closed_form():
 
 def test_solve_zero_model_recovers_sublinear_family():
     grid = build_grid("interval", 1)
-    spec = zero_model(q=1.5, m=1)
+    spec = zero_model(q=1.5)
     report = solve_stable(grid, spec, 4.0)
     assert report.converged
     np.testing.assert_allclose(report.state.u, [[(4.0 / 8.0) ** 2]],
@@ -193,6 +194,54 @@ def test_newton_above_the_fold_stops_at_the_second_damped_step(spec, factor):
     _, converged, iters, _ = newton_solve(grid, spec, factor * fp.lam,
                                           fp.state)
     assert not converged and iters <= 3
+
+
+def _fixed_merit_newton(grid, u, merit):
+    # the shared loop on a solver whose merit is merit(state) and whose
+    # Newton step is zero, at tol = 1e-12
+    def evaluate(u, lam):
+        state = make_state(grid, _abc(), u)
+        return nehari._Point(state, lam, merit(state),
+                             lambda: (np.zeros_like(u), 0.0))
+    return nehari._newton(evaluate, u, 1.0, 0, 1e-12)
+
+
+@pytest.mark.parametrize("size", [1e-20, 1.0, 1e20])
+def test_newton_stop_test_is_relative_to_the_iterate(size):
+    # the same relative residual converges at every size of the state, so a
+    # small state does not pass the test whatever it is
+    grid = build_grid("interval", 7)
+    u = size * np.ones((1, 7))
+    for factor, converged in ((0.9, True), (1.1, False)):
+        start, _ = next(_fixed_merit_newton(
+            grid, u, lambda state: factor * 1e-12 * grid.stencil_scale
+            * norm(grid, state.u)))
+        assert start.converged is converged
+
+
+def test_newton_accepts_a_converged_trial_that_does_not_lower_the_merit():
+    # a converged point's step may leave its merit where it is, at the
+    # rounding floor; an unconverged one must lower it
+    grid = build_grid("interval", 7)
+    u = np.ones((1, 7))
+    for factor, points in ((0.5, 3), (2.0, 1)):
+        merit = factor * 1e-12 * grid.stencil_scale * norm(grid, u)
+        loop = _fixed_merit_newton(grid, u, lambda state: merit)
+        assert len(list(itertools.islice(loop, 3))) == points
+
+
+def test_newton_solve_converges_at_a_second_damped_step(monkeypatch):
+    # the stop test comes before the rule that ends the solve at a second
+    # damped step in a row, so a converged point reached that way counts
+    grid = build_grid("interval", 7)
+    state = make_state(grid, _abc(), np.ones((1, 7)))
+    points = [nehari._Point(state, 1.0, merit, None, converged=converged)
+              for merit, converged in ((1.0, False), (0.5, False),
+                                       (1e-20, True))]
+    monkeypatch.setattr(nehari, "_newton",
+                        lambda *args: zip(points, (1.0, 0.5, 0.5)))
+    _, converged, iters, _ = newton_solve(grid, _abc(), 1.0, state)
+    assert converged and iters == 2
 
 
 # --- the monotone iteration

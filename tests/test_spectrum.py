@@ -26,7 +26,7 @@ def test_one_node_solution_index():
 def test_sublinear_family_index_closed_form():
     # for g = 0 the index is (2-q)*c at one node, independent of lambda
     grid = build_grid("interval", 1)
-    spec = zero_model(q=1.5, m=1)
+    spec = zero_model(q=1.5)
     for lam in (2.0, 8.0, 20.0):
         state = sublinear_state(grid, spec, lam)
         delta = stability_index(state).delta
