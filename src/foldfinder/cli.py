@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import sys
 import time
@@ -362,38 +363,29 @@ def cmd_check(opts: dict) -> int:
     print(report.summary())
     if not report.ok:
         return EXIT_INVALID_MODEL
-    # finite-difference self-tests for the energy derivatives
+    # central-difference self-tests for the energy derivatives
     rng = np.random.default_rng(opts["seed"])
     u = 0.5 + rng.random((spec.m, grid.n_nodes))
-    xi = rng.standard_normal((spec.m, grid.n_nodes))
-    state = make_state(grid, spec, u)
-    lam, eps = 1.0, 1e-5
-    ok = True
-
-    fd = (phi(make_state(grid, spec, u + eps * xi), lam)
-          - phi(make_state(grid, spec, u - eps * xi), lam)) / (2 * eps)
-    exact = inner_product(grid, phi_grad(state, lam), xi)
-    rel_g = abs(fd - exact) / max(abs(exact), 1e-30)
-    print(f"gradient_fd_error={rel_g:.17g}")
-    ok &= rel_g <= 1e-6
-
+    xi, v = rng.standard_normal(u.shape), rng.standard_normal(u.shape)
+    state, lam, eps = make_state(grid, spec, u), 1.0, 1e-5
     hess = hessian_operator(state, lam)
-    fd_h = (phi_grad(make_state(grid, spec, u + eps * xi), lam)
-            - phi_grad(make_state(grid, spec, u - eps * xi), lam)) / (2 * eps)
-    exact_h = hess(xi.ravel()).reshape(xi.shape)
-    rel_h = norm(grid, fd_h - exact_h) / max(norm(grid, exact_h), 1e-30)
-    print(f"hessian_fd_error={rel_h:.17g}")
-    ok &= rel_h <= 1e-6
-
-    v = rng.standard_normal(xi.shape)
-    hv = [hessian_operator(make_state(grid, spec, u + s * eps * xi), lam)(v.ravel())
-          for s in (1.0, -1.0)]
-    fd_t = ((hv[0] - hv[1]) / (2 * eps)).reshape(xi.shape)
-    exact_t = np.einsum("ijn,jn->in",
-                        _third_derivative_blocks(state, lam, v), xi)
-    rel_t = norm(grid, fd_t - exact_t) / max(norm(grid, exact_t), 1e-30)
-    print(f"third_derivative_fd_error={rel_t:.17g}")
-    ok &= rel_t <= 1e-6
+    field = functools.partial(norm, grid)
+    ok = True
+    # name, map of the state, its exact derivative along xi, size of a value
+    for name, f, exact, size in (
+            ("gradient", lambda s: phi(s, lam),
+             inner_product(grid, phi_grad(state, lam), xi), abs),
+            ("hessian", lambda s: phi_grad(s, lam),
+             hess(xi.ravel()).reshape(u.shape), field),
+            ("third_derivative",
+             lambda s: hessian_operator(s, lam)(v.ravel()).reshape(u.shape),
+             np.einsum("ijn,jn->in",
+                       _third_derivative_blocks(state, lam, v), xi), field)):
+        fd = (f(state.with_u(u + eps * xi))
+              - f(state.with_u(u - eps * xi))) / (2 * eps)
+        rel = size(fd - exact) / max(size(exact), 1e-30)
+        print(f"{name}_fd_error={rel:.17g}")
+        ok &= rel <= 1e-6
 
     mat = hess.matrix
     asym = abs(mat - mat.T).max()

@@ -116,7 +116,10 @@ def _bisect_fiber_argmax(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     return math.exp(mid)
 
 
-def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
+_MAX_ASCENT = 200   # fiber rescales of one ascent
+
+
+def cw_ascend(init: State) -> CwCandidate:
     """Monotone Collatz-Wielandt fixed point toward the max-min ratio.
 
     Each step rescales u along its fiber to the largest minimum ratio
@@ -125,18 +128,18 @@ def cw_ascend(init: State, *, max_iters: int = 200) -> CwCandidate:
     one factor of the Laplacian.
     Since L u >= lambda_cw u^(q-1) + g(u) nodewise, the step lowers u and
     lambda_cw cannot fall.  The ascent stops once lambda_cw rises by at
-    most 1e-8 relative; a fall is rounding noise, about 1e-9 relative on
-    ``interval:255``.  It stops at a branch solution, not at the exact
-    max-min: from the torsion function that solution is stable and lies
-    below lambda*, and ``fold.moore_spence_solve`` closes the gap.  A start
-    whose minimum ratio is negative takes its first step with lambda_cw
-    clamped at 0.  With no superlinear part the fiber has no maximum, and
+    most 1e-8 relative, or after _MAX_ASCENT rescales; a fall is rounding
+    noise, about 1e-9 relative on ``interval:255``.  It stops at a branch
+    solution, not at the exact max-min: from the torsion function that
+    solution is stable and lies below lambda*, and
+    ``fold.moore_spence_solve`` closes the gap.  A start whose minimum
+    ratio is negative takes its first step with lambda_cw clamped at 0.  With no superlinear part the fiber has no maximum, and
     the ascent stops at once with ``converged=False``.  The end point
     carries its stability index, its eigenpair started from u;
     ``diagnostics["history"]`` lists lambda_cw after each rescale.
     """
     state, cand, history, converged, it = init, cw_value(init), [], False, 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ASCENT + 1):
         t = _fiber_argmax(state)
         if t is None:
             break

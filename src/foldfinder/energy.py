@@ -4,20 +4,20 @@ All pairings use the grid quadrature; the gradient pairing <grad u, grad v>
 is computed as <-Delta_h u, v>, which is exact summation by parts for the
 Dirichlet stencil.  A state is "cone interior" when every node value exceeds
 1e-14 times the sup norm; operations involving the weight u^(q-2) reject
-anything else.
+anything else.  This module computes values only: the Hessian's node blocks
+go to ``linalg.laplacian_plus_blocks``, which lays out and fills the
+sparse matrix.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConeError, SigmaError
-from .linalg import LinearOperator
+from .linalg import LinearOperator, laplacian_plus_blocks
 from .mesh import Grid, apply_laplacian, inner_product, norm
 from .model import ModelSpec, eval_G, eval_g, eval_g_jacobian
 
@@ -90,65 +90,17 @@ def phi_grad(state: State, lam: float) -> np.ndarray:
     return apply_laplacian(g, u) - lam * u ** (q - 1.0) - eval_g(state.spec, u)
 
 
-# keyed by grid and dropped with it, so no index array outlives its grid
-_PATTERNS = weakref.WeakKeyDictionary()
-
-
-def _positions(pat: sp.csr_matrix, rows: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
-    """Offsets into ``pat.data`` of the stored entries (rows, cols)."""
-    dim = pat.shape[1]
-    # rows ascend and columns are sorted within each row, so keys are sorted
-    keys = (np.repeat(np.arange(pat.shape[0], dtype=np.int64),
-                      np.diff(pat.indptr)) * dim + pat.indices)
-    return np.searchsorted(keys, rows * dim + cols)
-
-
-def _hessian_pattern(grid: Grid, m: int) -> tuple:
-    """(indices, indptr, lap_pos, block_pos) of the (mN, mN) Hessian.
-
-    The pattern is m copies of the Laplacian's plus the diagonal of every
-    (i, j) node block, with sorted indices.  ``lap_pos`` places the
-    Laplacian data in each copy and ``block_pos`` (m, m, N) places the local
-    blocks.  For m = 1 the pattern is the Laplacian's own index arrays.
-    """
-    by_m = _PATTERNS.setdefault(grid, {})
-    if m not in by_m:
-        lap, nn = grid.laplacian, grid.n_nodes
-        offset = np.arange(m, dtype=np.int64)[:, None] * nn
-        if m == 1:
-            pat, lap_pos = lap, slice(None)
-        else:
-            # |L| keeps each diagonal sum from cancelling to an unstored 0
-            pat = (sp.kron(sp.eye(m), abs(lap))
-                   + sp.kron(np.ones((m, m)), sp.eye(nn))).tocsr()
-            coo = lap.tocoo()
-            lap_pos = _positions(pat, offset + coo.row, offset + coo.col)
-        node = np.arange(nn)
-        block_pos = _positions(pat, offset[:, None] + node,
-                               offset[None, :] + node)
-        by_m[m] = (pat.indices, pat.indptr, lap_pos, block_pos)
-    return by_m[m]
-
-
 def hessian_operator(state: State, lam: float) -> LinearOperator:
     """Linearization H phi = -Delta_h phi - G_uu(u) phi - lam (q-1) u^(q-2) phi.
 
-    Fills a fresh data array into the grid's fixed pattern; only the index
-    arrays are shared between Hessians on one grid.  The operator carries
-    its grid, so its factors reuse the pattern's ordering there.
+    Computes the (m, m, N) node blocks of the last two terms; the sparse
+    operator, its layout and its data are ``linalg.laplacian_plus_blocks``.
     """
     require_cone_interior(state)
-    g, u, q, m = state.grid, state.u, state.spec.q, state.spec.m
+    u, q, m = state.u, state.spec.q, state.spec.m
     blocks = -eval_g_jacobian(state.spec, u)  # (m, m, N)
     blocks[range(m), range(m)] -= lam * (q - 1.0) * u ** (q - 2.0)
-    indices, indptr, lap_pos, block_pos = _hessian_pattern(g, m)
-    data = np.zeros(indices.shape[0])
-    data[lap_pos] = g.laplacian.data
-    data[block_pos] += blocks
-    mat = sp.csr_matrix((data, indices, indptr),
-                        shape=(m * g.n_nodes, m * g.n_nodes))
-    return LinearOperator(mat, weight=g.node_weight, grid=g)
+    return laplacian_plus_blocks(state.grid, blocks)
 
 
 def _sigma_denominator(state: State, v: np.ndarray) -> float:

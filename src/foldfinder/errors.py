@@ -20,10 +20,10 @@ class SigmaError(FoldFinderError, ValueError):
 
 
 class ConvergenceError(FoldFinderError, RuntimeError):
-    """An iteration hit its cap or diverged; carries the best iterate."""
+    """An iteration hit its cap or diverged."""
 
     def __init__(self, message: str, *, residual: float | None = None,
-                 iterations: int | None = None, best=None):
+                 iterations: int | None = None):
         details = []
         if residual is not None:
             details.append(f"residual={residual:.3e}")
@@ -34,7 +34,6 @@ class ConvergenceError(FoldFinderError, RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-        self.best = best
 
 
 class SingularBorderError(FoldFinderError, RuntimeError):

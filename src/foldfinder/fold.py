@@ -45,7 +45,7 @@ from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_stable, _newton, _Point
 from .cw import cw_ascend, cw_value, upper_bound_lambda, _fiber_argmax
-from .spectrum import StabilityResult, stability_index
+from .spectrum import StabilityResult, stability_index, _EIG_TOL
 
 
 @dataclass
@@ -251,34 +251,30 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
         return _Point(state, lam, math.hypot(norm(grid, f), g), solve,
                       (f, v, hess))
 
-    history, best, it = [], None, -1
+    history, it = [], -1
     try:
         for it, (point, _) in enumerate(_newton(evaluate, init_u.u,
                                                 float(init_lam), 25, tol)):
             f, v, hess = point.data
             history.append(point.merit)
-            if best is None or history[-1] < best[0]:
-                best = (history[-1], point.state, v, point.lam)
             if len(history) > 5 and history[-1] > 0.5 * history[-6]:
                 raise ConvergenceError(
                     "augmented Newton diverged "
                     "(residual not halved over 5 steps)",
-                    residual=history[-1], iterations=it, best=best)
+                    residual=history[-1], iterations=it)
             if it == _MAX_AUGMENTED:
                 raise ConvergenceError("augmented Newton hit its iteration cap",
-                                       residual=history[-1],
-                                       iterations=it, best=best)
+                                       residual=history[-1], iterations=it)
             if point.converged \
                     and abs(point.step[1]) <= tol * max(abs(point.lam), 1.0):
                 break
         else:
             raise ConvergenceError("augmented Newton stalled",
-                                   residual=history[-1], iterations=it + 1,
-                                   best=best)
+                                   residual=history[-1], iterations=it + 1)
     except SingularBorderError as exc:
         raise ConvergenceError(f"augmented Newton step failed: {exc}",
-                               residual=None if best is None else best[0],
-                               iterations=it + 1, best=best) from exc
+                               residual=min(history, default=None),
+                               iterations=it + 1) from exc
 
     # quadrature normalization, sign rule and eigen-certificate
     v = v / norm(grid, v)
@@ -286,7 +282,7 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     k = int(np.argmax(np.abs(flat)))
     if flat[k] < 0:
         v = -v
-    delta, phi_eig = smallest_eigenpair(hess, tol=1e-10 * scale, start=v)
+    delta, phi_eig = smallest_eigenpair(hess, tol=_EIG_TOL * scale, start=v)
     align = abs(w * float(phi_eig @ v.ravel()))
     hv = norm(grid, hess(v.ravel()).reshape(m, n))
     vv = w * float(v.ravel() @ v.ravel())
@@ -519,8 +515,8 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
     corrector fails.  It fails when a full step does not lower the merit or
     collapses onto the trivial solution u = 0, which meets every tangent
     plane that is not parallel to the lambda axis; at once when ``first``
-    exceeds ``max_first``; and when a correction is not shorter than the
-    one before it.
+    exceeds ``max_first``; when a correction is not shorter than the one
+    before it; and when it has not converged after _MAX_CORRECTOR steps.
     """
     w = grid.node_weight
 
@@ -542,10 +538,10 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
     first, last, border = 0.0, math.inf, None
     for it, (point, _) in enumerate(_newton(evaluate, u_pred, lam_pred, 0,
                                             _BRANCH_TOL)):
-        if it == _MAX_CORRECTOR:
-            break
         if point.converged:
             return (point.state, point.lam, it, border), first
+        if it == _MAX_CORRECTOR:
+            break
         try:
             dx, dlam, border = point.step
         except SingularBorderError:

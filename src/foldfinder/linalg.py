@@ -1,6 +1,14 @@
 """Sparse linear algebra over matrix-backed grid operators.
 
-This is the only module that factors a matrix, and ``_factorized`` is its
+Past the grid Laplacian, which ``mesh`` builds, this is the only module
+that decides a sparse layout: ``_layout`` turns a list of (row, col)
+entries under a renumbering into the data offset of each entry and the
+compressed index arrays.  It lays out the Hessian, in CSR
+order, and every factor, in permuted CSC order.
+``laplacian_plus_blocks`` builds the Hessian: -Delta_h on each of m
+components plus one m x m block per node, laid out once per (grid, m).
+
+It is also the only module that factors a matrix, and ``_factorized`` is its
 only SuperLU binding: every triangular solve in the package goes through a
 factor it returns, and is counted in ``solve_counter``.  ``_factorized``
 factors A - sigma I, or the bordered [[A, c], [b', d]], and scatters A's
@@ -14,7 +22,8 @@ the ordering pass.  A Hessian, its shift H - sigma I and the grid
 Laplacian (the Hessian pattern for m = 1) share one ordering; a bordered
 pattern has its own.  An operator with no grid is ordered afresh at every
 factor.  ``laplacian_solve`` factors the grid Laplacian once per grid.
-The orderings and that factor are kept per grid and dropped with it.
+The orderings, that factor and the Hessian layouts are kept per grid and
+dropped with it.
 Every factor passes SuperLU the same supernode options (``_SUPERNODES``),
 whose supernodes store little more than the true fill (Ashcraft and
 Grimes 1989; Demmel et al. 1999).
@@ -111,9 +120,29 @@ _SUPERNODES = {"relax": 2, "panel_size": 2}
 _BACKWARD_TOL = 1e-10
 
 # keyed by grid and dropped with it: {(dim, bordered): the column order, then
-# its _Pattern from the second factor on; "laplacian": solve}.  Nothing in a
-# value refers back to its grid.
+# its _Pattern from the second factor on; ("blocks", m): the layout and
+# Laplacian data of laplacian_plus_blocks; "laplacian": solve}.  Nothing in
+# a value refers back to its grid.
 _ORDERINGS = weakref.WeakKeyDictionary()
+
+
+def _layout(major: list, minor: list, rank: np.ndarray) -> tuple:
+    """Compressed sparse layout of the entries (major[k], minor[k]), both
+    renumbered by ``rank``: (pos, indices, indptr).
+
+    ``major`` and ``minor`` are lists of index arrays, flattened and joined.
+    ``pos`` gives the data offset of each entry; duplicate entries share
+    one offset, so their values are summed.  Indices are sorted within each
+    major slice.  Entries given as (row, col) lay out CSR, as (col, row) CSC.
+    """
+    size = rank.shape[0]
+    major, minor = (np.concatenate([np.ravel(a) for a in part])
+                    for part in (major, minor))
+    uniq, pos = np.unique(rank[major] * size + rank[minor],
+                          return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.intc)
+    np.cumsum(np.bincount(uniq // size, minlength=size), out=indptr[1:])
+    return pos, (uniq % size).astype(np.intc), indptr
 
 
 @dataclass
@@ -133,24 +162,16 @@ class _Pattern:
 
     @classmethod
     def build(cls, mat: sp.csr_matrix, bordered: bool, perm: np.ndarray):
-        n = mat.shape[0]
+        n, coo = mat.shape[0], mat.tocoo()
         node = np.arange(n)
-        rows = [np.repeat(node, np.diff(mat.indptr)), node]
-        cols = [mat.indices, node]
+        rows, cols = [coo.row, node], [coo.col, node]
         if bordered:
             rows += [node, np.full(n + 1, n)]
             cols += [np.full(n, n), node, [n]]
-        size = n + bordered
-        rank = np.empty(size, dtype=np.int64)
-        rank[perm] = np.arange(size)
-        keys = (rank[np.concatenate(cols)] * size
-                + rank[np.concatenate(rows)])
-        # duplicates (a stored diagonal) share one offset and are summed
-        uniq, pos = np.unique(keys, return_inverse=True)
-        indptr = np.zeros(size + 1, dtype=np.intc)
-        np.cumsum(np.bincount(uniq // size, minlength=size), out=indptr[1:])
-        return cls(perm, pos, (uniq % size).astype(np.intc), indptr,
-                   (mat.indptr, mat.indices))
+        rank = np.empty(n + bordered, dtype=np.int64)
+        rank[perm] = np.arange(n + bordered)
+        # CSC: the column is the major index
+        return cls(perm, *_layout(cols, rows, rank), (mat.indptr, mat.indices))
 
     def assemble(self, data: np.ndarray) -> sp.csc_matrix:
         size = self.indptr.shape[0] - 1
@@ -221,6 +242,38 @@ def laplacian_solve(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
         orderings["laplacian"] = _factorized(
             LinearOperator(grid.laplacian, grid.node_weight, grid))
     return orderings["laplacian"]
+
+
+def laplacian_plus_blocks(grid: Grid, blocks: np.ndarray) -> LinearOperator:
+    """-Delta_h on each of m components plus one m x m block per node.
+
+    ``blocks`` has shape (m, m, N); entry (i, j, n) couples component j to
+    component i at node n.  The CSR pattern, m copies of the Laplacian's
+    plus the diagonal of every (i, j) node block, is laid out by
+    ``_layout`` once per (grid, m) and kept with the grid's orderings,
+    together with the Laplacian data placed in it.  Every operator copies
+    that data and adds its blocks, so a diagonal entry reads L_nn + b_iin;
+    it shares only the index arrays.
+    """
+    m, _, n = blocks.shape
+    store = _ORDERINGS.setdefault(grid, {})
+    if ("blocks", m) not in store:
+        lap = grid.laplacian.tocoo()
+        flat = np.arange(m * n).reshape(m, n)   # component i at node n
+        block = np.broadcast_arrays(flat[:, None], flat[None])   # (m, m, N)
+        pos, indices, indptr = _layout([flat[:, lap.row], block[0]],
+                                       [flat[:, lap.col], block[1]],
+                                       np.arange(m * n))
+        lap_pos, block_pos = np.split(pos, [m * lap.nnz])
+        base = np.zeros(indices.shape[0])
+        base[lap_pos] = np.tile(lap.data, m)
+        store["blocks", m] = (base, block_pos.reshape(blocks.shape), indices,
+                              indptr)
+    base, block_pos, indices, indptr = store["blocks", m]
+    data = base.copy()
+    data[block_pos] += blocks
+    mat = sp.csr_matrix((data, indices, indptr), shape=(m * n, m * n))
+    return LinearOperator(mat, weight=grid.node_weight, grid=grid)
 
 
 def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
@@ -306,14 +359,14 @@ def smallest_eigenpair(op: LinearOperator, tol: float,
             _, vecs = spla.eigsh(mat, k=1, sigma=sigma, which="LM", v0=v0,
                                  ncv=ncv, OPinv=shift_invert)
         except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError("shift-invert Lanczos did not converge",
-                                   best=(exc.eigenvalues, exc.eigenvectors))
+            raise ConvergenceError(
+                "shift-invert Lanczos did not converge") from exc
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     delta = float(x @ (mat @ x))
     resid = float(np.linalg.norm(mat @ x - delta * x))
     if resid > tol:
         raise ConvergenceError("eigenpair residual above tolerance",
-                               residual=resid, best=(delta, x))
+                               residual=resid)
 
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:

@@ -27,7 +27,6 @@ class Grid:
     nodes are not stored.
     """
 
-    kind: str                      # "interval" | "rectangle"
     extents: tuple[float, ...]     # physical side lengths
     n_interior: tuple[int, ...]    # interior node counts per axis
 
@@ -102,7 +101,7 @@ def build_grid(kind: str, n_interior, extents=None) -> Grid:
         raise ValueError("n_interior must be >= 1 on every axis")
     if any(e <= 0 for e in extents):
         raise ValueError("extents must be positive")
-    return Grid(kind=kind, extents=extents, n_interior=n_interior)
+    return Grid(extents=extents, n_interior=n_interior)
 
 
 def _check_field(grid: Grid, f: np.ndarray) -> np.ndarray:

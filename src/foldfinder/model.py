@@ -51,14 +51,6 @@ class ModelSpec:
         """Total degree of each term with a positive coefficient."""
         return tuple(sum(ps) for c, ps in self.terms if c > 0)
 
-    @property
-    def gamma1(self) -> float | None:
-        return min(self.degrees) if self.degrees else None
-
-    @property
-    def gamma2(self) -> float | None:
-        return max(self.degrees) if self.degrees else None
-
 
 def _check_cone(spec: ModelSpec, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)

@@ -103,7 +103,7 @@ def test_criterion_5_nonexistence_above_existence_below():
     no_stable_above = True
     for _ in range(8):
         bump = init.u * (1.0 + 0.3 * rng.random(init.u.shape))
-        cand = cw_ascend(make_state(grid, _abc(), bump), max_iters=150)
+        cand = cw_ascend(make_state(grid, _abc(), bump))
         if cand.stable and cand.lambda_cw >= lam_hi:
             no_stable_above = False
 

@@ -249,10 +249,15 @@ def test_every_flag_is_a_config_key_of_its_command(tmp_path):
         assert accepted == own, command
 
 
-def _readme_commands():
+def _readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-    block = block.split("```", 1)[0].replace("\\\n", " ")
+    block = text.split(f"## {heading}\n", 1)[1].split(f"```{language}\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def _readme_commands():
+    block = _readme_block("Command line", "sh").replace("\\\n", " ")
     return [shlex.split(line) for line in block.splitlines() if line.strip()]
 
 
@@ -264,6 +269,18 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     for argv in commands:
         assert argv[0] == "foldfinder"
         assert run(argv[1:]) == EXIT_OK, argv
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's Python example runs as printed: a removed or renamed
+    # public name fails here
+    exec(compile(_readme_block("Library quick start", "python"),
+                 "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    lam, _ = map(float, lines[0].split())
+    lam_ms, agreement = map(float, lines[1].split())
+    assert lam_ms == pytest.approx(lam, rel=1e-10) and agreement <= 1e-6 * lam
 
 
 def test_unknown_flag_usage_error():

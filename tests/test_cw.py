@@ -109,7 +109,7 @@ def test_ascend_zero_model_diverges_flagged():
     grid = build_grid("interval", 9)
     spec = zero_model(q=1.5)
     init = sublinear_state(grid, spec, 4.0)
-    cand = cw_ascend(init, max_iters=120)
+    cand = cw_ascend(init)
     # with no superlinear part the ratios grow along the fiber without bound
     assert not cand.converged
     assert cand.diagnostics["history"] == []
@@ -120,7 +120,7 @@ def test_ascend_coupled_symmetry():
     grid = build_grid("interval", 9)
     spec = coupled_model(q=1.5)
     init = sublinear_state(grid, spec, 2.0)
-    cand = cw_ascend(init, max_iters=150)
+    cand = cw_ascend(init)
     u = cand.state.u
     assert np.abs(u[0] - u[1]).max() <= 1e-8 * np.abs(u).max()
 
@@ -155,7 +155,7 @@ def test_stable_candidates_respect_upper_bound():
     bound = upper_bound_lambda(spec, grid)
     for _ in range(5):
         init = make_state(grid, spec, 0.1 + 0.4 * rng.random((1, 9)))
-        cand = cw_ascend(init, max_iters=120)
+        cand = cw_ascend(init)
         if cand.stable:
             assert cand.lambda_cw <= bound + 1e-8 * bound
 

@@ -226,6 +226,21 @@ def test_hessians_on_one_grid_do_not_share_data(coupled):
     assert np.all(np.isfinite(third.data))
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_hessians_on_one_grid_share_the_layout(coupled):
+    # the layout is built once per (grid, m): later Hessians reuse its index
+    # arrays without a copy; for m = 1 it is the Laplacian's own pattern
+    grid, spec, state = _random_state(5, coupled=coupled)
+    first = hessian_operator(state, 1.7).matrix
+    second = hessian_operator(state.with_u(2.0 * state.u), 0.3).matrix
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    assert not np.shares_memory(first.data, second.data)
+    if not coupled:
+        np.testing.assert_array_equal(first.indices, grid.laplacian.indices)
+        np.testing.assert_array_equal(first.indptr, grid.laplacian.indptr)
+
+
 def test_state_layout_does_not_change_its_energy():
     # sums over an F-ordered array can differ in their last bit from the
     # C-ordered sums; a state stores one layout whatever it was built from

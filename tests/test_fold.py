@@ -91,8 +91,9 @@ def test_direct_rejects_an_unstable_ascent_end(monkeypatch):
     # there, the augmented Newton would still climb to the fold
     grid, spec = build_grid("interval", 1), _abc()
     unstable = make_state(grid, spec, np.array([[2.0]]))
+    monkeypatch.setattr("foldfinder.cw._MAX_ASCENT", 0)
     monkeypatch.setattr("foldfinder.fold.cw_ascend",
-                        lambda init: cw_ascend(unstable, max_iters=0))
+                        lambda init: cw_ascend(unstable))
     with pytest.raises(ConvergenceError, match="unstable"):
         find_fold_direct(grid, spec)
 
@@ -119,9 +120,9 @@ def test_moore_spence_singular_step_raises_convergence_error():
     grid = build_grid("interval", 1)
     spec = zero_model(q=1.5)
     init = make_state(grid, spec, np.array([[1.0]]))
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError, match="step failed") as info:
         moore_spence_solve(grid, spec, init, np.array([[1.0]]), 8.0)
-    assert info.value.best[3] == 8.0
+    assert info.value.iterations == 1
 
 
 def test_moore_spence_coupled_matches_scalar_reduction():
@@ -249,6 +250,24 @@ def test_detect_fold_steps_back_to_the_last_sign_change():
     assert det.lambda_moore_spence == pytest.approx(fp.lam, rel=1e-10)
     # lambda* is the largest lambda of the branch
     assert max(det.bracket) < det.lambda_moore_spence
+
+
+def test_corrector_accepts_convergence_at_its_last_allowed_step(monkeypatch):
+    # the cap limits the Newton steps taken, not the iterates checked: a
+    # corrector whose iterate after its last allowed step has converged
+    # succeeds, as a newton_solve does
+    import foldfinder.fold as fold
+
+    grid, spec = build_grid("interval", 31), _abc()
+    fp = find_fold_direct(grid, spec)
+    args = (grid, spec, fp.state.u - 0.1 * norm(grid, fp.state.u) * fp.v,
+            fp.lam, fp.v, 0.0)
+    free, _ = fold._arclength_corrector(*args)
+    monkeypatch.setattr(fold, "_MAX_CORRECTOR", free[2])
+    capped, _ = fold._arclength_corrector(*args)
+    assert capped is not None
+    assert capped[1:3] == free[1:3]
+    np.testing.assert_array_equal(capped[0].u, free[0].u)
 
 
 def test_continuation_route_rejects_an_infinite_bound():

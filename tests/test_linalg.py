@@ -262,6 +262,15 @@ def _calls_bmat(tree: ast.AST) -> bool:
         for node in ast.walk(tree))
 
 
+def _imports_sparse(tree: ast.AST) -> bool:
+    """True if the module imports scipy.sparse or a submodule of it."""
+    return any(isinstance(node, ast.Import) and any(
+        a.name.startswith("scipy.sparse") for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("scipy.sparse")
+        for node in ast.walk(tree))
+
+
 def _splu_options(tree: ast.AST) -> list[bool]:
     """For each splu call, whether it passes ``**_SUPERNODES``."""
     return [any(kw.arg is None and isinstance(kw.value, ast.Name)
@@ -277,7 +286,8 @@ def test_only_linalg_reaches_splu():
     # and no module assembles a bordered matrix block by block: linalg
     # scatters it straight into the CSC arrays of its factor.  Every splu
     # call there passes the shared supernode options; SuperLU's defaults
-    # pad each factor with explicit zeros
+    # pad each factor with explicit zeros.  Past the Laplacian, which mesh
+    # builds, linalg decides every sparse layout, the Hessian's included
     pkg = Path(foldfinder.__file__).parent
     modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
     assert "linalg" in modules and "nehari" in modules
@@ -287,6 +297,8 @@ def test_only_linalg_reaches_splu():
     assert binders == ["linalg"]
     assemblers = [name for name in modules if _calls_bmat(trees[name])]
     assert assemblers == []
+    builders = [name for name in modules if _imports_sparse(trees[name])]
+    assert sorted(builders) == ["linalg", "mesh"]
     options = _splu_options(trees["linalg"])
     assert options and all(options)
 
@@ -381,9 +393,11 @@ def test_orderings_are_dropped_with_their_grid():
     hess = hessian_operator(sublinear_state(grid, spec, 1.0), 1.0)
     linalg._factorized(hess)
     factor_bordered(hess, np.ones(hess.dim), np.ones(hess.dim), 0.0)
-    assert len(linalg._ORDERINGS[grid]) == 3   # H, bordered, Laplacian
+    # H layout, H ordering, bordered ordering, Laplacian
+    assert len(linalg._ORDERINGS[grid]) == 4
     ref = weakref.ref(grid)
+    layout = weakref.ref(linalg._ORDERINGS[grid]["blocks", 1][2])
     del grid, hess
     gc.collect()
-    assert ref() is None
+    assert ref() is None and layout() is None
     assert build_grid("rectangle", 15, extents=1.5) not in linalg._ORDERINGS
