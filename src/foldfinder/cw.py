@@ -9,7 +9,9 @@ largest minimum ratio, then solve -Delta_h u_new = lambda_cw u^(q-1) + g(u)
 on one Laplacian factor.  It does not reach the exact max-min: from a
 positive start such as the torsion function it stops at a stable branch
 solution below lambda*, and the augmented Newton of
-``fold.moore_spence_solve`` closes the gap.
+``fold.moore_spence_solve`` closes the gap.  The ascent computes no
+eigenpair: whether its end is stable is not needed to seed that Newton,
+whose eigen-certificate checks the answer.
 """
 
 from __future__ import annotations
@@ -23,27 +25,18 @@ from .energy import State, require_cone_interior, _fiber_peaks
 from .mesh import Grid, apply_laplacian, principal_laplacian_eigenvalue
 from .model import ModelSpec, eval_g, _simplex_rays, _term_partials
 from .nehari import _laplacian_step
-from .spectrum import StabilityResult, stability_index, stability_tolerance
 
 
 @dataclass
 class CwCandidate:
+    """A state and its minimum nodewise ratio lambda_cw; ``cw_ascend``
+    also sets whether it converged, its rescale count and its history."""
+
     state: State
     lambda_cw: float
     converged: bool = False
     iterations: int = 0
-    stability: StabilityResult | None = None   # set by cw_ascend
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def delta(self) -> float | None:
-        return None if self.stability is None else self.stability.delta
-
-    @property
-    def stable(self) -> bool | None:
-        if self.stability is None:
-            return None
-        return self.stability.delta >= -stability_tolerance(self.state)
 
 
 def _ratios(state: State) -> np.ndarray:
@@ -133,10 +126,11 @@ def cw_ascend(init: State) -> CwCandidate:
     solution, not at the exact max-min: from the torsion function that
     solution is stable and lies below lambda*, and
     ``fold.moore_spence_solve`` closes the gap.  A start whose minimum
-    ratio is negative takes its first step with lambda_cw clamped at 0.  With no superlinear part the fiber has no maximum, and
-    the ascent stops at once with ``converged=False``.  The end point
-    carries its stability index, its eigenpair started from u;
-    ``diagnostics["history"]`` lists lambda_cw after each rescale.
+    ratio is negative takes its first step with lambda_cw clamped at 0.
+    With no superlinear part the fiber has no maximum, and the ascent
+    stops at once with ``converged=False``.  The end point is not
+    classified: its stability index is ``spectrum.stability_index`` of its
+    state.  ``diagnostics["history"]`` lists lambda_cw after each rescale.
     """
     state, cand, history, converged, it = init, cw_value(init), [], False, 0
     for it in range(1, _MAX_ASCENT + 1):
@@ -153,9 +147,8 @@ def cw_ascend(init: State) -> CwCandidate:
         state = _laplacian_step(state, max(cand.lambda_cw, 0.0))
     else:
         cand = cw_value(state)
-    cand.stability = stability_index(cand.state, start=cand.state.u)
     cand.converged, cand.iterations = converged, it
-    cand.diagnostics = {"stable_found": cand.stable, "history": history}
+    cand.diagnostics = {"history": history}
     return cand
 
 

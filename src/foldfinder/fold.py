@@ -45,7 +45,8 @@ from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
 from .nehari import newton_solve, solve_stable, _newton, _Point
 from .cw import cw_ascend, cw_value, upper_bound_lambda, _fiber_argmax
-from .spectrum import StabilityResult, stability_index, _EIG_TOL
+from .spectrum import (StabilityResult, stability_index, stability_tolerance,
+                       _EIG_TOL)
 
 
 @dataclass
@@ -222,7 +223,10 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     Converged points carry the residuals (v at quadrature norm one), the
     eigen-certificate (Lanczos started from v), the number of Newton steps
     applied and the merit history of the start and each accepted iterate:
-    one entry more than steps.
+    one entry more than steps.  The Newton reaches any singular point, so
+    a certificate delta below -``stability_tolerance`` (an unstable
+    singular point, not the fold of the stable branch) raises
+    ``ConvergenceError``.
     """
     m, n, scale = spec.m, grid.n_nodes, grid.stencil_scale
     w = grid.node_weight
@@ -283,6 +287,10 @@ def moore_spence_solve(grid: Grid, spec: ModelSpec, init_u: State,
     if flat[k] < 0:
         v = -v
     delta, phi_eig = smallest_eigenpair(hess, tol=_EIG_TOL * scale, start=v)
+    if delta < -stability_tolerance(point.state):
+        raise ConvergenceError(f"augmented Newton reached an unstable "
+                               f"singular point (delta={delta:.3e})",
+                               iterations=it)
     align = abs(w * float(phi_eig @ v.ravel()))
     hv = norm(grid, hess(v.ravel()).reshape(m, n))
     vv = w * float(v.ravel() @ v.ravel())
@@ -310,24 +318,19 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     The ascent starts from the torsion state of ``_start`` (its fiber
     rescale makes the result independent of scale), and stops at a stable
     branch solution below lambda*; the augmented Newton climbs from there
-    to the fold, bordered by the principal eigenfield the ascent leaves on
-    its candidate.  The a-priori bound only decides whether a fold exists.
-    The augmented Newton converges to any singular point, so an ascent that
-    ends on an unstable state raises ``ConvergenceError`` instead of
-    seeding it.
+    to the fold, bordered by the ascent's end state u.  Like the null
+    direction at the fold, u is positive, so the border is not orthogonal
+    to it.  The a-priori bound only decides whether a fold exists.  The
+    ascent's end is not classified: wherever it lies, it seeds the
+    Newton, whose eigen-certificate rejects an unstable answer.
     """
     _, torsion = _start(grid, spec)
     try:
         cand = cw_ascend(torsion)
     except ConeError as exc:
         raise ConvergenceError(f"ascent left the positive cone: {exc}") from exc
-    if not cand.stable:
-        raise ConvergenceError(
-            f"ascent ended on an unstable state (delta={cand.delta:.3e})",
-            iterations=cand.iterations)
-    return moore_spence_solve(grid, spec, cand.state,
-                              cand.stability.eigenfield, cand.lambda_cw,
-                              tol=tol)
+    return moore_spence_solve(grid, spec, cand.state, cand.state.u,
+                              cand.lambda_cw, tol=tol)
 
 
 def find_fold_continuation(grid: Grid, spec: ModelSpec, *,

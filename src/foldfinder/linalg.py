@@ -8,21 +8,22 @@ order, and every factor, in permuted CSC order.
 ``laplacian_plus_blocks`` builds the Hessian: -Delta_h on each of m
 components plus one m x m block per node, laid out once per (grid, m).
 
-It is also the only module that factors a matrix, and ``_factorized`` is its
+It is also the only module that factors a matrix, and ``_factor`` is its
 only SuperLU binding: every triangular solve in the package goes through a
-factor it returns, and is counted in ``solve_counter``.  ``_factorized``
+factor it returns, and is counted in ``solve_counter``.  ``_factor``
 factors A - sigma I, or the bordered [[A, c], [b', d]], and scatters A's
-data, the shift and the border straight into CSC arrays.  Each pattern is
-ordered once per grid (George and Liu 1981; Davis 2006).  The first factor
-of a pattern on a grid runs SuperLU's minimum degree on A' + A
-(``MMD_AT_PLUS_A``).  Every later factor of that pattern on that grid is
-scattered into arrays whose rows and columns are already in that order,
-and factored in natural order: the same pivots and the same fill, without
-the ordering pass.  A Hessian, its shift H - sigma I and the grid
-Laplacian (the Hessian pattern for m = 1) share one ordering; a bordered
-pattern has its own.  An operator with no grid is ordered afresh at every
-factor.  ``laplacian_solve`` factors the grid Laplacian once per grid.
-The orderings, that factor and the Hessian layouts are kept per grid and
+data, the shift and the border straight into CSC arrays.  Each grid is
+ordered once (George and Liu 1981; Davis 2006): ``laplacian_solve``
+factors the grid Laplacian, on first need, with SuperLU's minimum degree
+on A' + A (``MMD_AT_PLUS_A``), and the column order SuperLU chose is the
+grid's order.  Every other factor of an operator on that grid (H,
+H - sigma I and bordered, for any number m of components) is laid out in
+that order, expanded node-major over the m components with the border
+row and column last, and factored in natural order.  The layout of each
+(m, bordered) pattern is built once per grid.  So a factor does not
+depend on which factors came before it, and the ordering pass runs once
+per grid.  An operator with no grid is ordered afresh at every factor.
+The order, the Laplacian factor and the layouts are kept per grid and
 dropped with it.
 Every factor passes SuperLU the same supernode options (``_SUPERNODES``),
 whose supernodes store little more than the true fill (Ashcraft and
@@ -76,8 +77,8 @@ class LinearOperator:
 
     ``weight`` is the quadrature weight of the underlying grid so residual
     norms agree with the grid norms.  ``grid``, when given, is the grid
-    whose fixed pattern the matrix has: its factors reuse that pattern's
-    ordering.
+    whose fixed pattern the matrix has: its factors are laid out in that
+    grid's order.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
@@ -119,10 +120,10 @@ _SUPERNODES = {"relax": 2, "panel_size": 2}
 # Newton step computed on its factor
 _BACKWARD_TOL = 1e-10
 
-# keyed by grid and dropped with it: {(dim, bordered): the column order, then
-# its _Pattern from the second factor on; ("blocks", m): the layout and
-# Laplacian data of laplacian_plus_blocks; "laplacian": solve}.  Nothing in
-# a value refers back to its grid.
+# keyed by grid and dropped with it: {"laplacian": solve; "order": the node
+# order of that factor; (dim, bordered): the _Pattern of factors of that
+# size; ("blocks", m): the layout and Laplacian data of
+# laplacian_plus_blocks}.  Nothing in a value refers back to its grid.
 _ORDERINGS = weakref.WeakKeyDictionary()
 
 
@@ -149,6 +150,7 @@ def _layout(major: list, minor: list, rank: np.ndarray) -> tuple:
 class _Pattern:
     """CSC arrays of the pattern with rows and columns in ``perm`` order.
 
+    ``perm`` lists the indices of the factored matrix in factor order.
     ``pos`` gives the data offset of each source entry: A's stored
     entries, the diagonal, then the border column, row and corner.
     ``source`` is A's (indptr, indices); a later matrix must match it.
@@ -186,17 +188,34 @@ class _Pattern:
                 and np.array_equal(indices, mat.indices))
 
 
-def _factorized(op: LinearOperator, shift: float = 0.0,
-                border: tuple | None = None
-                ) -> Callable[[np.ndarray], np.ndarray]:
-    """SuperLU factor of A - shift I, or of [[A, c], [b', d]] for a
-    ``border`` (c, b, d), as a solve function that counts its calls.
+def _grid_pattern(op: LinearOperator, bordered: bool) -> _Pattern | None:
+    """Layout of ``op``'s factor in its grid's order, built once per grid
+    and size; None for an operator with no grid, or one whose matrix does
+    not have the pattern kept for that size."""
+    if op.grid is None:
+        return None
+    n, dim = op.grid.n_nodes, op.dim
+    store, key = _ORDERINGS.setdefault(op.grid, {}), (dim, bordered)
+    if key not in store:
+        laplacian_solve(op.grid)
+        # node-major: the components of one node sit together
+        perm = (store["order"][:, None] + np.arange(0, dim, n)).ravel()
+        if bordered:
+            perm = np.append(perm, dim)
+        store[key] = _Pattern.build(op.matrix, bordered, perm)
+    pattern = store[key]
+    return pattern if pattern.matches(op.matrix) else None
 
-    The first factor of a pattern on ``op.grid``, and every factor of an
-    operator with no grid, is ordered by minimum degree on A' + A.  The
-    grid keeps that order (``perm_c``, etree postorder included); later
-    factors of the pattern there are assembled in it and factored in
-    natural order, so SuperLU prefers the same diagonal pivots.
+
+def _factor(op: LinearOperator, shift: float = 0.0,
+            border: tuple | None = None) -> tuple:
+    """SuperLU factor of A - shift I, or of [[A, c], [b', d]] for a
+    ``border`` (c, b, d), and its solve function, which counts its calls:
+    (lu, solve).
+
+    An operator on its grid's pattern is laid out in the grid's order
+    (``_grid_pattern``) and factored in natural order.  Any other is
+    ordered by minimum degree on A' + A.
     """
     mat, n, bordered = op.matrix, op.dim, border is not None
     parts = [mat.data, np.full(n, -shift)]
@@ -204,24 +223,13 @@ def _factorized(op: LinearOperator, shift: float = 0.0,
         c, b_row, d = border
         parts += [c, b_row, [d]]
     data = np.concatenate(parts)
-    orderings = {} if op.grid is None else _ORDERINGS.setdefault(op.grid, {})
-    key = (n, bordered)
-    pattern = orderings.get(key)
-    if isinstance(pattern, np.ndarray):
-        # the arrays are laid out at the second factor, once the first one
-        # is usually released: its transients then raise no memory peak
-        pattern = orderings[key] = _Pattern.build(mat, bordered, pattern)
-    if pattern is not None and pattern.matches(mat):
-        lu = spla.splu(pattern.assemble(data), permc_spec="NATURAL",
-                       **_SUPERNODES)
-        perm = pattern.perm
-    else:
-        perm = np.arange(n + bordered)
-        natural = _Pattern.build(mat, bordered, perm)
-        lu = spla.splu(natural.assemble(data), permc_spec="MMD_AT_PLUS_A",
-                       **_SUPERNODES)
-        if pattern is None and op.grid is not None:
-            orderings[key] = np.argsort(lu.perm_c)
+    pattern, permc_spec = _grid_pattern(op, bordered), "NATURAL"
+    if pattern is None:
+        pattern = _Pattern.build(mat, bordered, np.arange(n + bordered))
+        permc_spec = "MMD_AT_PLUS_A"
+    lu = spla.splu(pattern.assemble(data), permc_spec=permc_spec,
+                   **_SUPERNODES)
+    perm = pattern.perm
 
     def solve(b: np.ndarray) -> np.ndarray:
         solve_counter.value += 1
@@ -229,19 +237,30 @@ def _factorized(op: LinearOperator, shift: float = 0.0,
         x[perm] = lu.solve(b[perm])
         return x
 
-    return solve
+    return lu, solve
+
+
+def _factorized(op: LinearOperator, shift: float = 0.0,
+                border: tuple | None = None
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve function of ``_factor``."""
+    return _factor(op, shift, border)[1]
 
 
 def laplacian_solve(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     """Solve function of the grid's -Delta_h, factored once per grid.
 
-    The factor is kept with the grid's orderings and dropped with the grid.
+    This is the grid's one minimum-degree ordering: the factor's column
+    order is the grid's order, which every other factor on the grid
+    follows.  The factor and its order are kept with the grid and dropped
+    with it.
     """
-    orderings = _ORDERINGS.setdefault(grid, {})
-    if "laplacian" not in orderings:
-        orderings["laplacian"] = _factorized(
-            LinearOperator(grid.laplacian, grid.node_weight, grid))
-    return orderings["laplacian"]
+    store = _ORDERINGS.setdefault(grid, {})
+    if "laplacian" not in store:
+        lu, store["laplacian"] = _factor(
+            LinearOperator(grid.laplacian, grid.node_weight))
+        store["order"] = np.argsort(lu.perm_c)
+    return store["laplacian"]
 
 
 def laplacian_plus_blocks(grid: Grid, blocks: np.ndarray) -> LinearOperator:
@@ -250,7 +269,7 @@ def laplacian_plus_blocks(grid: Grid, blocks: np.ndarray) -> LinearOperator:
     ``blocks`` has shape (m, m, N); entry (i, j, n) couples component j to
     component i at node n.  The CSR pattern, m copies of the Laplacian's
     plus the diagonal of every (i, j) node block, is laid out by
-    ``_layout`` once per (grid, m) and kept with the grid's orderings,
+    ``_layout`` once per (grid, m) and kept with the grid's order,
     together with the Laplacian data placed in it.  Every operator copies
     that data and adds its blocks, so a diagonal entry reads L_nn + b_iin;
     it shares only the index arrays.

@@ -104,7 +104,9 @@ def test_criterion_5_nonexistence_above_existence_below():
     for _ in range(8):
         bump = init.u * (1.0 + 0.3 * rng.random(init.u.shape))
         cand = cw_ascend(make_state(grid, _abc(), bump))
-        if cand.stable and cand.lambda_cw >= lam_hi:
+        stable = stability_index(cand.state).delta \
+            >= -stability_tolerance(cand.state)
+        if stable and cand.lambda_cw >= lam_hi:
             no_stable_above = False
 
     # below the fold continuation supplies a stable solution

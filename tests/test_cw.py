@@ -8,7 +8,8 @@ import pytest
 from foldfinder import (ModelSpec, abc_model, build_grid, coupled_model,
                         cw_ascend, cw_value, find_fold_direct, make_state,
                         principal_laplacian_eigenvalue, rayleigh_nl,
-                        solve_stable, upper_bound_lambda, zero_model)
+                        solve_stable, stability_index, stability_tolerance,
+                        upper_bound_lambda, zero_model)
 from foldfinder import cw
 from foldfinder.energy import _fiber_peaks
 from foldfinder.linalg import laplacian_solve
@@ -68,11 +69,17 @@ def test_ratio_sandwich():
         assert r_nl <= cand.lambda_cw + _gap(state) + 1e-12
 
 
+def _stable(cand):
+    """Whether the ascent's end is stable: delta >= -tol_stab."""
+    return stability_index(cand.state).delta \
+        >= -stability_tolerance(cand.state)
+
+
 def test_ascend_one_node_reaches_fold():
     cand = cw_ascend(_one_node_state(1.0))
     assert cand.lambda_cw == pytest.approx(LAM_STAR_1, rel=1e-4)
     assert cand.state.u[0, 0] == pytest.approx(U_STAR_1, rel=5e-3)
-    assert cand.stable
+    assert _stable(cand)
 
 
 def test_ascend_never_exceeds_fold_value_stably():
@@ -83,7 +90,7 @@ def test_ascend_never_exceeds_fold_value_stably():
     for _ in range(10):
         init = make_state(grid, spec, np.array([[0.2 + 2.0 * rng.random()]]))
         cand = cw_ascend(init)
-        if cand.stable:
+        if _stable(cand):
             assert cand.lambda_cw <= LAM_STAR_1 + 1e-8
 
 
@@ -96,7 +103,7 @@ def test_ascend_climbs_to_a_branch_solution_below_the_fold(spec, kind, n):
     grid = build_grid(kind, n)
     bound = upper_bound_lambda(spec, grid)
     cand = cw_ascend(sublinear_state(grid, spec, 0.5 * bound))
-    assert cand.converged and cand.stable
+    assert cand.converged and _stable(cand)
     history = cand.diagnostics["history"]
     assert history[-1] == cand.lambda_cw
     assert all(b >= a for a, b in zip(history, history[1:]))
@@ -156,7 +163,7 @@ def test_stable_candidates_respect_upper_bound():
     for _ in range(5):
         init = make_state(grid, spec, 0.1 + 0.4 * rng.random((1, 9)))
         cand = cw_ascend(init)
-        if cand.stable:
+        if _stable(cand):
             assert cand.lambda_cw <= bound + 1e-8 * bound
 
 

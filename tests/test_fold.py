@@ -71,31 +71,47 @@ def test_direct_fold_near_q_two(kind, n, lam_ref):
         assert not newton_solve(grid, spec, 1.01 * fp.lam, init)[1]
 
 
-def test_direct_fold_reuses_the_ascent_eigenpair(monkeypatch):
-    grid, spec = build_grid("interval", 31), _abc()
-    cand = cw_ascend(sublinear_state(grid, spec, 2.0))
-    expect = moore_spence_solve(grid, spec, cand.state,
-                                cand.stability.eigenfield,
-                                cand.lambda_cw).lam
+def test_direct_fold_computes_one_eigenpair(monkeypatch):
+    # the ascent classifies nothing; the fold's eigen-certificate is the
+    # direct route's only eigenpair
+    import foldfinder.fold as fold
 
-    def fail(state):
-        raise AssertionError("stability index solved again")
+    calls, real = [], fold.smallest_eigenpair
 
-    monkeypatch.setattr("foldfinder.fold.cw_ascend", lambda init: cand)
-    monkeypatch.setattr("foldfinder.fold.stability_index", fail)
-    assert find_fold_direct(grid, spec).lam == expect
+    def eigenpair(op, tol, start=None):
+        calls.append(op.dim)
+        return real(op, tol, start)
+
+    monkeypatch.setattr(fold, "smallest_eigenpair", eigenpair)
+    monkeypatch.setattr("foldfinder.spectrum.smallest_eigenpair", eigenpair)
+    fp = find_fold_direct(build_grid("rectangle", 15), _abc())
+    assert calls == [fp.state.u.size]
 
 
-def test_direct_rejects_an_unstable_ascent_end(monkeypatch):
+def test_direct_seeds_the_newton_with_an_unstable_ascent_end(monkeypatch):
     # u = 2 on one node lies on the unstable branch (delta = -6); seeded
-    # there, the augmented Newton would still climb to the fold
+    # there, the augmented Newton still climbs to the fold
     grid, spec = build_grid("interval", 1), _abc()
+    expect = find_fold_direct(grid, spec).lam
     unstable = make_state(grid, spec, np.array([[2.0]]))
+    assert stability_index(unstable).delta == pytest.approx(-6.0, abs=1e-10)
     monkeypatch.setattr("foldfinder.cw._MAX_ASCENT", 0)
     monkeypatch.setattr("foldfinder.fold.cw_ascend",
                         lambda init: cw_ascend(unstable))
-    with pytest.raises(ConvergenceError, match="unstable"):
-        find_fold_direct(grid, spec)
+    fp = find_fold_direct(grid, spec)
+    assert fp.lam == pytest.approx(expect, abs=1e-10)
+    assert abs(fp.delta) <= stability_tolerance(fp.state)
+
+
+def test_moore_spence_rejects_a_negative_certificate(monkeypatch):
+    # a singular point whose smallest eigenvalue is negative is not the
+    # fold of the stable branch
+    grid = build_grid("interval", 1)
+    init = make_state(grid, _abc(), np.array([[1.2]]))
+    monkeypatch.setattr("foldfinder.fold.smallest_eigenpair",
+                        lambda op, tol, start=None: (-1.0, np.ravel(start)))
+    with pytest.raises(ConvergenceError, match="delta=-1"):
+        moore_spence_solve(grid, _abc(), init, np.array([[1.0]]), 7.0)
 
 
 def test_direct_ascent_cone_error_becomes_convergence_error(monkeypatch):
@@ -601,16 +617,16 @@ def test_moore_spence_factors_one_bordered_matrix_per_iterate(
                          ids=["rectangle", "coupled"])
 def test_direct_fold_factor_budget(monkeypatch, kind, n, spec):
     # one direct fold factors the Laplacian once (torsion start and
-    # ascent), one bordered matrix per augmented-Newton evaluation and
-    # H - sigma I once per eigenpair (the candidate's stability and the
-    # fold certificate), and solves no fixed-lambda Newton system
+    # ascent), the grid's one minimum-degree factor, one bordered matrix
+    # per augmented-Newton evaluation and H - sigma I once, for the fold
+    # certificate, and solves no fixed-lambda Newton system
     import foldfinder.fold as fold
     import foldfinder.linalg as linalg
     import foldfinder.nehari as nehari
 
     grid = build_grid(kind, n, extents=1.25)   # no factor kept for it yet
     kinds, evaluations = [], []
-    real_factorized, real_hessian = linalg._factorized, fold.hessian_operator
+    real_factorized, real_hessian = linalg._factor, fold.hessian_operator
 
     def factorized(op, shift=0.0, border=None):
         kinds.append("laplacian" if op.matrix is grid.laplacian
@@ -625,15 +641,15 @@ def test_direct_fold_factor_budget(monkeypatch, kind, n, spec):
     def no_newton(*args, **kwargs):
         raise AssertionError("fixed-lambda Newton solve")
 
-    monkeypatch.setattr(linalg, "_factorized", factorized)
+    monkeypatch.setattr(linalg, "_factor", factorized)
     monkeypatch.setattr(fold, "hessian_operator", hessian)
     monkeypatch.setattr(nehari, "newton_solve", no_newton)
     monkeypatch.setattr(fold, "newton_solve", no_newton)
     find_fold_direct(grid, spec)
     assert kinds.count("laplacian") == 1
     assert kinds.count("bordered") == len(evaluations) > 0
-    assert kinds.count("shifted") == 2
-    assert len(kinds) == len(evaluations) + 3
+    assert kinds.count("shifted") == 1
+    assert len(kinds) == len(evaluations) + 2
 
 
 @pytest.mark.parametrize("spec", [abc_model(q=1.5, gamma=4.0),

@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 import foldfinder
 from foldfinder import (LinearOperator, SingularBorderError, abc_model,
                         build_grid, coupled_model, factor_bordered,
-                        find_fold_direct, hessian_operator, make_state,
+                        find_fold_continuation, find_fold_direct,
+                        hessian_operator, make_state,
                         smallest_eigenpair, solve_counter, solve_stable,
                         upper_bound_lambda)
 from foldfinder import linalg
@@ -331,11 +332,25 @@ def _fresh_factor(matrix):
                  **linalg._SUPERNODES)
 
 
+def _grid_order_factor(grid, matrix):
+    """Factor of ``matrix`` permuted into the grid's order, computed here:
+    the column order of a fresh minimum-degree factor of the Laplacian,
+    node-major over the components, a border last."""
+    n, size = grid.n_nodes, matrix.shape[0]
+    nodes = np.argsort(_fresh_factor(grid.laplacian).perm_c)
+    perm = (nodes[:, None] + n * np.arange(size // n)).ravel()
+    perm = np.append(perm, np.arange(perm.shape[0], size))
+    permuted = sp.csr_matrix(matrix)[perm][:, perm]
+    return _SPLU(sp.csc_matrix(permuted), permc_spec="NATURAL",
+                 **linalg._SUPERNODES)
+
+
 @pytest.mark.parametrize("kind, n, spec", _ORDERED_CASES, ids=_ORDERED_IDS)
 def test_reused_ordering_matches_fresh_factor(monkeypatch, kind, n, spec):
-    # once a pattern is ordered on a grid, its factors (H, H - sigma I and
-    # bordered, with c = b and c != b) reuse that ordering; their solves
-    # match a fresh minimum-degree factor and their fill is the same
+    # once a pattern is laid out on a grid, its factors (H, H - sigma I and
+    # bordered, with c = b and c != b) reuse that layout; their solves
+    # match a fresh minimum-degree factor, and their fill is that of the
+    # matrix permuted into the grid's order
     grid = build_grid(kind, n, extents=1.5)
     lam = 0.5 * upper_bound_lambda(spec, grid)
     hess = [hessian_operator(sublinear_state(grid, spec, t * lam), t * lam)
@@ -352,9 +367,9 @@ def test_reused_ordering_matches_fresh_factor(monkeypatch, kind, n, spec):
     def check(solve, matrix, rhs):
         x = solve(rhs)
         permc, _, lu, _ = calls[-1]
-        fresh = _fresh_factor(matrix)
-        expect = fresh.solve(rhs)
-        assert permc == "NATURAL" and lu.nnz == fresh.nnz
+        expect = _fresh_factor(matrix).solve(rhs)
+        assert permc == "NATURAL"
+        assert lu.nnz == _grid_order_factor(grid, matrix).nnz
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
 
     for op in hess:
@@ -371,20 +386,55 @@ def test_reused_ordering_matches_fresh_factor(monkeypatch, kind, n, spec):
 
 @pytest.mark.parametrize("kind, n, spec", _ORDERED_CASES, ids=_ORDERED_IDS)
 def test_each_pattern_is_ordered_once_per_grid(monkeypatch, kind, n, spec):
-    # the Laplacian, the Hessians and their shifts share one ordering per
-    # component count, and the bordered matrices have one of their own;
-    # cw_ascend and solve_stable share one Laplacian factor
+    # the Laplacian factor is the grid's one minimum-degree ordering; the
+    # Hessians, their shifts and the bordered matrices of both fold routes
+    # and of the stable solve are laid out in its order
     grid = build_grid(kind, n, extents=1.5)
     lap = np.sort(grid.laplacian.data)
     calls = _record_splu(monkeypatch)
     fp = find_fold_direct(grid, spec)
     solve_stable(grid, spec, 0.5 * fp.lam)
-    ordered = [size for permc, size, _, _ in calls if permc == "MMD_AT_PLUS_A"]
-    assert sorted(ordered) == sorted({size for _, size, _, _ in calls})
-    natural = {size for permc, size, _, _ in calls if permc == "NATURAL"}
-    assert spec.m * grid.n_nodes + 1 in natural
-    assert sum(np.array_equal(np.sort(a.data), lap)
-               for _, _, _, a in calls) == 1
+    find_fold_continuation(grid, spec)
+    ordered = [a for permc, _, _, a in calls if permc == "MMD_AT_PLUS_A"]
+    assert len(ordered) == 1
+    assert np.array_equal(np.sort(ordered[0].data), lap)
+    assert all(permc in ("MMD_AT_PLUS_A", "NATURAL")
+               for permc, _, _, _ in calls)
+    assert spec.m * grid.n_nodes + 1 in {size for permc, size, _, _ in calls
+                                         if permc == "NATURAL"}
+
+
+_ABC, _COUPLED = abc_model(q=1.5, gamma=4.0), coupled_model(q=1.5)
+
+
+@pytest.mark.parametrize("method, kind, n, spec", [
+    ("direct", "rectangle", 15, _ABC),
+    ("direct", "rectangle", 39, _ABC),
+    ("direct", "interval", 31, _COUPLED),
+    ("direct", "rectangle", 9, _COUPLED),
+    ("continuation", "interval", 31, _ABC),
+    ("continuation", "interval", 31, _COUPLED),
+    ("continuation", "rectangle", 9, _ABC),
+], ids=["direct-rectangle-15", "direct-rectangle-39",
+        "direct-coupled-interval", "direct-coupled-rectangle",
+        "continuation-interval", "continuation-coupled-interval",
+        "continuation-rectangle"])
+def test_fold_does_not_depend_on_what_its_grid_keeps(method, kind, n, spec):
+    # a fold on a fresh grid, and the same fold on an equal grid while the
+    # first is alive, so that it finds the Laplacian factor, the order and
+    # the layouts the first run kept: the same bits
+    def fold(grid):
+        if method == "direct":
+            return find_fold_direct(grid, spec)
+        return find_fold_continuation(grid, spec).fold_point
+
+    gc.collect()
+    grid = build_grid(kind, n, extents=1.7)
+    assert grid not in linalg._ORDERINGS
+    fresh = fold(grid)
+    again = fold(build_grid(kind, n, extents=1.7))
+    assert again.lam == fresh.lam
+    assert np.array_equal(again.state.u, fresh.state.u)
 
 
 def test_orderings_are_dropped_with_their_grid():
@@ -393,8 +443,8 @@ def test_orderings_are_dropped_with_their_grid():
     hess = hessian_operator(sublinear_state(grid, spec, 1.0), 1.0)
     linalg._factorized(hess)
     factor_bordered(hess, np.ones(hess.dim), np.ones(hess.dim), 0.0)
-    # H layout, H ordering, bordered ordering, Laplacian
-    assert len(linalg._ORDERINGS[grid]) == 4
+    # H layout, Laplacian factor, its order, H and bordered factor layouts
+    assert len(linalg._ORDERINGS[grid]) == 5
     ref = weakref.ref(grid)
     layout = weakref.ref(linalg._ORDERINGS[grid]["blocks", 1][2])
     del grid, hess

@@ -341,7 +341,7 @@ def test_solve_factor_budget(monkeypatch, kind, n, spec):
     grid = build_grid(kind, n, extents=1.3)   # no factor kept for it yet
     lam = 0.5 * upper_bound_lambda(spec, grid)
     kinds, hessian_specs = [], []
-    real_factorized, real_hessian = linalg._factorized, nehari.hessian_operator
+    real_factorized, real_hessian = linalg._factor, nehari.hessian_operator
 
     def factorized(op, shift=0.0, border=None):
         kinds.append("laplacian" if op.matrix is grid.laplacian
@@ -353,8 +353,7 @@ def test_solve_factor_budget(monkeypatch, kind, n, spec):
         hessian_specs.append(state.spec)
         return real_hessian(state, lam)
 
-    monkeypatch.setattr(linalg, "_factorized", factorized)
-    monkeypatch.setattr(nehari, "_factorized", factorized)
+    monkeypatch.setattr(linalg, "_factor", factorized)
     monkeypatch.setattr(nehari, "hessian_operator", hessian)
     report = solve_stable(grid, spec, lam)
     assert report.converged and report.iterations >= 1

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from foldfinder import (abc_model, build_grid, cw_value, hessian_operator,
+from foldfinder import (abc_model, build_grid, hessian_operator,
                         inner_product, make_state, rayleigh_nl,
-                        stability_index, zero_model)
+                        stability_index, stability_tolerance, zero_model)
 
 from _sublinear import sublinear_state
 
@@ -39,10 +39,8 @@ def test_index_near_zero_at_fold_state():
 
 
 def _stable(state):
-    """``CwCandidate.stable`` of the state: delta >= -tol_stab."""
-    cand = cw_value(state)
-    cand.stability = stability_index(state)
-    return cand.stable
+    """The stability classification: delta >= -tol_stab."""
+    return stability_index(state).delta >= -stability_tolerance(state)
 
 
 def test_is_stable_classification():
