@@ -192,10 +192,15 @@ def _model(opts: dict) -> ModelSpec:
 def _write_csv(path, header, rows, row_format: str) -> None:
     """Comma-delimited, '.'-decimal CSV: the header, then ``row_format %
     row`` for each row, with ``%.17g`` for floats."""
+    _write_text(path, header, "".join(row_format % tuple(row) for row in rows))
+
+
+def _write_text(path, header, body: str) -> None:
+    """The header line, then ``body``, to ``path`` or to stdout."""
     with open(path, "w", newline="", encoding="utf-8") if path \
             else contextlib.nullcontext(sys.stdout) as sink:
         sink.write(",".join(header) + "\n")
-        sink.write("".join(row_format % tuple(row) for row in rows))
+        sink.write(body)
 
 
 def _field_header(grid: Grid, m: int, names=("u",)) -> list[str]:
@@ -207,9 +212,22 @@ def _field_header(grid: Grid, m: int, names=("u",)) -> list[str]:
 
 
 def _write_fields(path, header, grid: Grid, fields: list[np.ndarray]) -> None:
-    """One row per node: its coordinates, then each field's components."""
-    rows = np.column_stack([grid.coords, *(f.T for f in fields)]).tolist()
-    _write_csv(path, header, rows, ",".join([_FLOAT_FMT] * len(header)) + "\n")
+    """One row per node: its coordinates, then each field's components.
+
+    A coordinate takes one of n values per axis, so each value is formatted
+    once; the rows are then formatted as one, with one ``%`` over all nodes.
+    """
+    nx = grid.n_interior[0]
+    coords = [_FLOAT_FMT % x for x in grid.coords[:nx, 0].tolist()]
+    if grid.ndim == 2:
+        ys = [("," + _FLOAT_FMT) % y for y in grid.coords[::nx, 1].tolist()]
+        coords = [x + y for y in ys for x in coords]        # x fastest
+    values = np.vstack(fields).T
+    cells = np.empty((grid.n_nodes, 1 + values.shape[1]), dtype=object)
+    cells[:, 0], cells[:, 1:] = coords, values
+    row_format = "%s" + ("," + _FLOAT_FMT) * values.shape[1] + "\n"
+    _write_text(path, header,
+                row_format * grid.n_nodes % tuple(cells.ravel().tolist()))
 
 
 def write_solution_csv(path, grid: Grid, u: np.ndarray) -> None:
@@ -420,7 +438,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = _Parser(prog="foldfinder", allow_abbrev=False,
                      description="Locate maximal fold points of "
                                  "sublinear-superlinear Dirichlet systems.")

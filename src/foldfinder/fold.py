@@ -18,7 +18,11 @@ to pseudo-arclength stepping (tangent predictor and corrector, both
 bordered solves) where the branch starts to turn away from the secant, or
 at the first failed or slow natural corrector; the natural step adapts to
 the corrector's iteration count, the arclength step to the size of the
-corrector's first Newton correction.  No record computes an eigenpair:
+corrector's first Newton correction.  Arclength is measured with lambda
+weighted by theta = ||u|| / lambda at the record where it starts (Keller
+1977), so a relative change of u weighs as much as one of lambda, and the
+predictor rounds the fold instead of running past it along a tangent that
+is almost pure lambda.  No record computes an eigenpair:
 the fold test is the sign of the lambda part of the branch tangent, which
 the arclength step solves for anyway, and a record's stability index and
 energy are computed when first read.  The augmented Newton refines the fold from
@@ -398,12 +402,20 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
     corrector that fails, needs more than six iterations, or lands farther
     than _BEND times the step from its secant predictor, where the branch
     starts to turn; so it tries at most one lambda beyond the fold.
-    Pseudo-arclength stepping follows, from a step of half the next natural
-    one: its predictor follows the branch tangent, and its step is scaled
-    by _ALPHA over the ratio of the corrector's first Newton correction to
-    the step (at most by _GROW).  A corrector whose ratio exceeds
-    _ALPHA_MAX stops after that first correction, one whose corrections
-    stop shrinking stops too, and a failed corrector halves the step.
+    Pseudo-arclength stepping follows.  It measures (u, lambda) in the
+    inner product <u1, u2> + theta^2 lambda1 lambda2, with theta = ||u|| /
+    lambda at the record where it starts, so that the measure is free of
+    the scales of u and lambda; the tangent's normalisation, the predictor,
+    the corrector's constraint and the sizes of its corrections all use it.
+    Its first step is the arclength along the tangent that changes lambda
+    by half the next natural step, but at most ||u||, as the lambda part of
+    the tangent tends to 0 at the fold.  Its predictor follows the branch
+    tangent, and its step is scaled by _ALPHA over the ratio of the
+    corrector's first Newton correction to the step (at most by _GROW).  A
+    corrector whose ratio exceeds _ALPHA_MAX stops after that first
+    correction, one whose corrections stop shrinking stops too, and a
+    failed corrector halves the step; below 1e-6 of ||u|| tracing stops,
+    with no fold bracketed.
 
     The fold test is the tangent: at a simple fold its lambda part changes
     sign together with det H (Allgower and Georg 1990), so a record whose
@@ -460,15 +472,16 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                 prev, cur = cur, (st, lam_new)
                 dl *= _step_factor(iters)
             if not ok or iters > 6 or bend > _BEND:
-                mode, ds = "arclength", 0.5 * dl
+                mode, ds = "arclength", None
+                theta = norm(grid, cur[0].u) / cur[1]
             continue
 
-        # pseudo-arclength: predict along the unit tangent at cur, the null
-        # vector of [H, dF/dlam].  The corrector's last factor gives it,
-        # oriented along the tangent before; after a natural step, one
-        # bordered factor at cur gives it, oriented along the secant.  A
-        # secant over a long natural step cuts across the turning point,
-        # and its plane can miss the branch.
+        # pseudo-arclength: predict along the tangent at cur, the null
+        # vector of [H, dF/dlam], of unit length in the theta metric.  The
+        # corrector's last factor gives it, oriented along the tangent
+        # before; after a natural step, one bordered factor at cur gives it,
+        # oriented along the secant.  A secant over a long natural step cuts
+        # across the turning point, and its plane can miss the branch.
         if tangent is None:
             try:
                 if border is None:
@@ -478,7 +491,8 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                     border = factor_bordered(
                         hessian_operator(cur[0], cur[1]),
                         -(cur[0].u ** (spec.q - 1.0)).ravel(),
-                        grid.node_weight * du.ravel(), cur[1] - prev[1])
+                        grid.node_weight * du.ravel(),
+                        theta ** 2 * (cur[1] - prev[1]))
                 tu, tlam = border(np.zeros(cur[0].u.size), 1.0)
             except SingularBorderError:
                 break
@@ -486,12 +500,14 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                 branch.fold_bracketed = True
                 break
             tu = tu.reshape(cur[0].u.shape)
-            tnorm = math.sqrt(norm(grid, tu) ** 2 + tlam ** 2)
+            tnorm = math.hypot(norm(grid, tu), theta * tlam)
             tangent = (tu / tnorm, tlam / tnorm)
+            if ds is None:      # half the next natural step, in lambda
+                ds = min(0.5 * dl / tangent[1], norm(grid, cur[0].u))
         tu, tlam = tangent
         result, first = _arclength_corrector(
             grid, spec, cur[0].u + ds * tu, cur[1] + ds * tlam, tu, tlam,
-            max_first=_ALPHA_MAX * ds)
+            theta, max_first=_ALPHA_MAX * ds)
         if result is not None:
             st, lam_new, iters, border = result
             record(st, lam_new, iters)
@@ -499,18 +515,22 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
             ds *= min(_ALPHA * ds / max(first, 1e-300), _GROW)
         else:
             ds *= 0.5
-            if ds < 1e-6:
+            if ds < 1e-6 * norm(grid, cur[0].u):
                 break
     return branch
 
 
 def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
                          lam_pred: float, tu: np.ndarray, tlam: float,
-                         max_first: float = math.inf):
+                         theta: float, max_first: float = math.inf):
     """Newton corrector on {residual = 0, tangent plane through predictor}.
 
-    Full steps of ``nehari._newton`` (no halving, tolerance _BRANCH_TOL),
-    whose merit is the norm of both residuals.  Returns ((state, lam,
+    The plane and the lengths are those of the inner product <u1, u2> +
+    theta^2 lambda1 lambda2 (see ``continue_branch``): the constraint is
+    <tu, u - u_pred> + theta^2 tlam (lam - lam_pred) = 0, which borders
+    each Hessian with the row (w tu, theta^2 tlam).  Full steps of
+    ``nehari._newton`` (no halving, tolerance _BRANCH_TOL), whose merit is
+    the norm of both residuals.  Returns ((state, lam,
     Newton steps taken, border), first), the steps counted as
     ``newton_solve`` counts them, ``border`` the solve function of the last
     bordered factor (None when no step was taken) and ``first`` the length
@@ -527,12 +547,12 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
         state = make_state(grid, spec, u)
         f = phi_grad(state, lam)
         con = (w * float(tu.ravel() @ (u - u_pred).ravel())
-               + tlam * (lam - lam_pred))
+               + theta ** 2 * tlam * (lam - lam_pred))
 
         def solve():
             border = factor_bordered(hessian_operator(state, lam),
                                      -(u ** (spec.q - 1.0)).ravel(),  # dF/dlam
-                                     w * tu.ravel(), tlam)
+                                     w * tu.ravel(), theta ** 2 * tlam)
             dx, dlam = border(-f.ravel(), -con)
             return dx.reshape(u.shape), dlam, border
 
@@ -549,7 +569,7 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
             dx, dlam, border = point.step
         except SingularBorderError:
             break
-        size = math.sqrt(norm(grid, dx) ** 2 + dlam ** 2)
+        size = math.hypot(norm(grid, dx), theta * dlam)
         if it == 0:
             first = size
             if first > max_first:
@@ -564,29 +584,34 @@ def _regula_falsi(a: BranchRecord, b: BranchRecord) -> float:
     """Illinois regula falsi on delta between the bracket records a and b.
 
     Each step corrects onto the branch at the point of the chord where the
-    line through the two ends' weighted delta values vanishes, clipped to
-    [0.05, 0.95] of the chord; when the same end is replaced twice in a
-    row, the weight of the other end is halved (the Illinois rule).  Its
-    eigenpair starts from the eigenfield of the nearer end.  The search
-    stops once the bracket is 1e-9 relative wide or |delta| is at most
+    line through the two ends' weighted delta values vanishes; when the
+    same end is replaced twice in a row, the weight of the other end is
+    halved (the Illinois rule).  The chord and the corrector's plane are
+    measured in the arclength metric of ``continue_branch``, with theta =
+    ||u|| / lambda at a: the two ends lie on either side of the turning
+    point, so only a length in (u, lambda) tells how wide the bracket is.
+    Its eigenpair starts from the eigenfield of the nearer end.  The search
+    stops once the chord is at most 1e-6 of ||u|| or |delta| is at most
     1e-12 times the stencil scale, and returns the secant estimate of
-    lambda at delta = 0 from the final bracket.
+    lambda at delta = 0 from the final bracket, whose error is about the
+    branch curvature times the product of the ends' distances to the fold.
     """
     grid, spec = a.state.grid, a.state.spec
     (sa, la, da, ea), (sb, lb, db, eb) = (
         (r.state, r.lam, r.delta, r.stability.eigenfield) for r in (a, b))
 
+    theta = norm(grid, sa.u) / la
     fa, fb, last = da, db, 0     # Illinois weights; last end replaced
     for _ in range(80):
         du = sb.u - sa.u
         dlam = lb - la
-        tnorm = math.sqrt(norm(grid, du) ** 2 + dlam ** 2)
-        if tnorm <= 1e-14 * max(abs(la), 1.0):
+        tnorm = math.hypot(norm(grid, du), theta * dlam)
+        if tnorm <= 1e-6 * norm(grid, sa.u):
             break
         tu, tlam = du / tnorm, dlam / tnorm
-        t = min(max(fa / (fa - fb), 0.05), 0.95)
+        t = fa / (fa - fb)
         result, _ = _arclength_corrector(grid, spec, sa.u + t * du,
-                                         la + t * dlam, tu, tlam)
+                                         la + t * dlam, tu, tlam, theta)
         if result is None:
             break
         st, lam_m = result[:2]
@@ -600,8 +625,7 @@ def _regula_falsi(a: BranchRecord, b: BranchRecord) -> float:
             if last == -1:
                 fa *= 0.5
             sb, lb, db, eb, fb, last = st, lam_m, dm, stab.eigenfield, dm, -1
-        if abs(la - lb) <= 1e-9 * max(abs(la), 1.0) or abs(dm) \
-                <= 1e-12 * grid.stencil_scale:
+        if abs(dm) <= 1e-12 * grid.stencil_scale:
             break
 
     # secant interpolation of lambda at delta = 0 from the final bracket

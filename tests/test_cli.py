@@ -19,7 +19,8 @@ from foldfinder import (build_grid, make_model, phi, stability_index,
                         stability_tolerance, upper_bound_lambda)
 from foldfinder.cli import (EXIT_INVALID_MODEL, EXIT_NO_CONVERGENCE, EXIT_OK,
                             EXIT_USAGE, UsageError, build_parser, main,
-                            read_solution_csv, write_fold_csv, _read_config)
+                            read_solution_csv, write_fold_csv,
+                            write_solution_csv, _read_config)
 
 
 def run(args):
@@ -146,10 +147,15 @@ def _fold_summary(capsys, args):
     out = capsys.readouterr().out
     iterations = int(out.split("iterations=")[1].split()[0])
     residuals = [float(r) for r in out.split("residuals=")[1].split()[0].split(",")]
-    return iterations, max(residuals)
+    lam = float(out.split("lambda_star=")[1].split()[0])
+    return iterations, max(residuals), lam
 
 
 def test_fold_honours_tol(capsys):
+    # the loose continuation fold already has a residual below 1e-12 times
+    # the scale (2e-10): the strict run's extra step is forced by the size
+    # of its lambda correction, not by the residual, so there the looser
+    # tolerance shows in lambda* (1.7e-11 relative), not in the residual
     scale = build_grid("interval", 15).stencil_scale
     for method in ("direct", "continuation"):
         args = ["fold", "--method", method, "--model", "abc", "--q", "1.5",
@@ -157,7 +163,11 @@ def test_fold_honours_tol(capsys):
         strict = _fold_summary(capsys, args)
         loose = _fold_summary(capsys, args + ["--tol", "1e-6"])
         assert loose[0] < strict[0]
-        assert strict[1] <= 1e-12 * scale < loose[1] <= 1e-6 * scale
+        assert strict[1] <= 1e-12 * scale and loose[1] <= 1e-6 * scale
+        if method == "direct":
+            assert 1e-12 * scale < loose[1]
+        else:
+            assert abs(loose[2] - strict[2]) > 1e-12 * strict[2]
 
 
 def test_fold_continuation_on_rectangle_agrees_with_direct(capsys):
@@ -403,6 +413,43 @@ def test_fold_csv_matches_reference_formatter(tmp_path):
         row = [*grid.coords[j], *u[:, j], *v[:, j]]
         lines.append(",".join("%.17g" % float(x) for x in row))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("kind, n, m", [
+    ("interval", 7, 1), ("interval", 7, 2), ("rectangle", 5, 1),
+    ("rectangle", 5, 2), ("rectangle", (4, 2), 1), ("rectangle", (2, 3), 2),
+    ("interval", 1, 1)])
+def test_field_csvs_match_the_row_by_row_writer(tmp_path, kind, n, m):
+    # the writers format each coordinate value once and all rows with one
+    # '%'; the bytes are those of formatting each row with "%.17g" fields
+    grid = build_grid(kind, n)
+    rng = np.random.default_rng(7)
+    u, v = rng.random((m, grid.n_nodes)), rng.standard_normal((m, grid.n_nodes))
+    coords = ["x", "y"][:grid.ndim]
+    for name, write, fields in (("fold", write_fold_csv, (u, v)),
+                                ("solution", write_solution_csv, (u,))):
+        out = tmp_path / f"{name}.csv"
+        write(str(out), grid, *fields)
+        rows = np.column_stack([grid.coords, *(f.T for f in fields)]).tolist()
+        header = coords + [f"{c}_{i + 1}" for c in "uv"[:len(fields)]
+                           for i in range(m)]
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in rows)
+        assert out.read_bytes() == expected.encode()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # a cached parser keeps no state between calls: a run after a
+    # successful one still rejects a bad flag, and equal runs print alike
+    args = ["solve", "--model", "abc", "--grid", "interval:7", "--lambda",
+            "1", "-o", os.devnull]
+    assert build_parser() is build_parser()
+    assert run(args) == EXIT_OK
+    first = capsys.readouterr()
+    assert run(["solve", "--no-such-flag", "1"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert run(args) == EXIT_OK
+    assert capsys.readouterr() == first
 
 
 def _imports_scipy_optimize(tree):
