@@ -54,8 +54,12 @@ class State:
     def sup(self) -> float:
         return float(np.abs(self.u).max())
 
-    def cone_interior(self) -> bool:
+    @cached_property
+    def _in_cone(self) -> bool:
         return self.sup > 0 and float(self.u.min()) > CONE_FLOOR_REL * self.sup
+
+    def cone_interior(self) -> bool:
+        return self._in_cone
 
 
 def make_state(grid: Grid, spec: ModelSpec, u) -> State:
@@ -97,9 +101,10 @@ def hessian_operator(state: State, lam: float) -> LinearOperator:
     operator, its layout and its data are ``linalg.laplacian_plus_blocks``.
     """
     require_cone_interior(state)
-    u, q, m = state.u, state.spec.q, state.spec.m
+    u, q = state.u, state.spec.q
     blocks = -eval_g_jacobian(state.spec, u)  # (m, m, N)
-    blocks[range(m), range(m)] -= lam * (q - 1.0) * u ** (q - 2.0)
+    diagonal = np.einsum("iin->in", blocks)   # a writable view of blocks
+    diagonal -= lam * (q - 1.0) * u ** (q - 2.0)
     return laplacian_plus_blocks(state.grid, blocks)
 
 

@@ -7,6 +7,12 @@ compressed index arrays.  It lays out the Hessian, in CSR
 order, and every factor, in permuted CSC order.
 ``laplacian_plus_blocks`` builds the Hessian: -Delta_h on each of m
 components plus one m x m block per node, laid out once per (grid, m).
+Each layout is kept as a template matrix (``_template``), the one matrix
+of that layout that goes through scipy's checked constructor, which scans
+the index arrays; every Hessian and every factor's matrix is a copy of its
+template holding its own values (``_fill``).  The template's index arrays
+are read-only and shared, so an in-place scipy operation on one matrix
+raises instead of changing the layout of the others.
 
 It is also the only module that factors a matrix, and ``_factor`` is its
 only SuperLU binding: every triangular solve in the package goes through a
@@ -146,9 +152,38 @@ def _layout(major: list, minor: list, rank: np.ndarray) -> tuple:
     return pos, (uniq % size).astype(np.intc), indptr
 
 
+def _template(kind: type, indices: np.ndarray, indptr: np.ndarray):
+    """A square ``kind`` (CSR or CSC) matrix of one layout, for ``_fill``.
+
+    It goes through scipy's checked constructor, which scans the index
+    arrays, once per layout.  Its index arrays are read-only and shared by
+    every matrix filled from it, so an in-place scipy operation on one of
+    them (``sort_indices``, say) raises instead of changing the others.
+    """
+    for arr in (indices, indptr):
+        arr.setflags(write=False)
+    size = indptr.shape[0] - 1
+    return kind((np.zeros(indices.shape[0]), indices, indptr),
+                shape=(size, size))
+
+
+def _fill(template, data: np.ndarray):
+    """A matrix of ``template``'s layout holding ``data``, made by scipy's
+    copy constructor, which checks the array sizes but not their contents."""
+    mat = type(template)(template)
+    mat.data = data
+    return mat
+
+
+def _rows(mat) -> np.ndarray:
+    """The major index of each stored entry of a compressed matrix."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+
+
 @dataclass
 class _Pattern:
-    """CSC arrays of the pattern with rows and columns in ``perm`` order.
+    """The CSC template of the pattern with rows and columns in ``perm``
+    order.
 
     ``perm`` lists the indices of the factored matrix in factor order.
     ``pos`` gives the data offset of each source entry: A's stored
@@ -158,29 +193,26 @@ class _Pattern:
 
     perm: np.ndarray
     pos: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    template: sp.csc_matrix
     source: tuple
 
     @classmethod
     def build(cls, mat: sp.csr_matrix, bordered: bool, perm: np.ndarray):
-        n, coo = mat.shape[0], mat.tocoo()
-        node = np.arange(n)
-        rows, cols = [coo.row, node], [coo.col, node]
+        n, node = mat.shape[0], np.arange(mat.shape[0])
+        rows, cols = [_rows(mat), node], [mat.indices, node]
         if bordered:
             rows += [node, np.full(n + 1, n)]
             cols += [np.full(n, n), node, [n]]
         rank = np.empty(n + bordered, dtype=np.int64)
         rank[perm] = np.arange(n + bordered)
         # CSC: the column is the major index
-        return cls(perm, *_layout(cols, rows, rank), (mat.indptr, mat.indices))
+        pos, indices, indptr = _layout(cols, rows, rank)
+        return cls(perm, pos, _template(sp.csc_matrix, indices, indptr),
+                   (mat.indptr, mat.indices))
 
     def assemble(self, data: np.ndarray) -> sp.csc_matrix:
-        size = self.indptr.shape[0] - 1
-        values = np.bincount(self.pos, weights=data,
-                             minlength=self.indices.shape[0])
-        return sp.csc_matrix((values, self.indices, self.indptr),
-                             shape=(size, size))
+        return _fill(self.template, np.bincount(
+            self.pos, weights=data, minlength=self.template.nnz))
 
     def matches(self, mat: sp.csr_matrix) -> bool:
         indptr, indices = self.source
@@ -277,22 +309,22 @@ def laplacian_plus_blocks(grid: Grid, blocks: np.ndarray) -> LinearOperator:
     m, _, n = blocks.shape
     store = _ORDERINGS.setdefault(grid, {})
     if ("blocks", m) not in store:
-        lap = grid.laplacian.tocoo()
+        lap = grid.laplacian
         flat = np.arange(m * n).reshape(m, n)   # component i at node n
         block = np.broadcast_arrays(flat[:, None], flat[None])   # (m, m, N)
-        pos, indices, indptr = _layout([flat[:, lap.row], block[0]],
-                                       [flat[:, lap.col], block[1]],
+        pos, indices, indptr = _layout([flat[:, _rows(lap)], block[0]],
+                                       [flat[:, lap.indices], block[1]],
                                        np.arange(m * n))
         lap_pos, block_pos = np.split(pos, [m * lap.nnz])
         base = np.zeros(indices.shape[0])
         base[lap_pos] = np.tile(lap.data, m)
-        store["blocks", m] = (base, block_pos.reshape(blocks.shape), indices,
-                              indptr)
-    base, block_pos, indices, indptr = store["blocks", m]
+        store["blocks", m] = (base, block_pos.reshape(blocks.shape),
+                              _template(sp.csr_matrix, indices, indptr))
+    base, block_pos, template = store["blocks", m]
     data = base.copy()
     data[block_pos] += blocks
-    mat = sp.csr_matrix((data, indices, indptr), shape=(m * n, m * n))
-    return LinearOperator(mat, weight=grid.node_weight, grid=grid)
+    return LinearOperator(_fill(template, data), weight=grid.node_weight,
+                          grid=grid)
 
 
 def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
@@ -324,11 +356,13 @@ def factor_bordered(op: LinearOperator, c: np.ndarray, b_row: np.ndarray,
         rhs_f = np.asarray(rhs_f, dtype=float).ravel()
         if rhs_f.shape[0] != n:
             raise ValueError("rhs length mismatch")
-        rhs = np.append(rhs_f, rhs_g)
-        sol = lu(rhs)
+        sol = lu(np.append(rhs_f, rhs_g))
         x, y = sol[:n], sol[n]
-        res = np.linalg.norm(np.append(op(x) + y * c, b_row @ x + d * y) - rhs)
-        ref = np.linalg.norm(rhs) + size * np.linalg.norm(sol)
+        res_f = op(x) + y * c - rhs_f
+        res_g = b_row @ x + d * y - rhs_g
+        res = math.sqrt(res_f @ res_f + res_g * res_g)
+        ref = math.sqrt(rhs_f @ rhs_f + rhs_g * rhs_g) \
+            + size * math.sqrt(sol @ sol)
         if not res <= _BACKWARD_TOL * ref:
             raise SingularBorderError("bordered system is numerically singular",
                                       condition_estimate=ref / res)
@@ -360,8 +394,7 @@ def smallest_eigenpair(op: LinearOperator, tol: float,
     """
     n = op.dim
     mat = op.matrix
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    if np.all(np.abs(mat.indices - rows) <= 1):
+    if np.all(np.abs(mat.indices - _rows(mat)) <= 1):
         _, vecs = eigh_tridiagonal(mat.diagonal(), mat.diagonal(1),
                                    select="i", select_range=(0, 0))
     else:

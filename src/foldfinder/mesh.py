@@ -5,6 +5,9 @@ lexicographically with the x index running fastest, boundary values are
 identically zero and are folded into the second-order central stencil.
 Quadrature is the product midpoint-type rule with weight h^d per interior
 node, so all functionals below are plain weighted sums over node values.
+``Grid.laplacian`` lays the stencil out straight into CSR arrays by index
+arithmetic, one path for intervals and rectangles; a grid computes its
+spacings, weight, stencil scale and Laplacian once and keeps them.
 """
 
 from __future__ import annotations
@@ -34,20 +37,20 @@ class Grid:
     def ndim(self) -> int:
         return len(self.n_interior)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(ext / (n + 1) for ext, n in zip(self.extents, self.n_interior))
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return math.prod(self.n_interior)
 
-    @property
+    @cached_property
     def node_weight(self) -> float:
         """Quadrature weight h^d shared by every interior node."""
         return math.prod(self.h)
 
-    @property
+    @cached_property
     def stencil_scale(self) -> float:
         """Largest stencil coefficient 2*sum(1/h^2); used to scale tolerances."""
         return 2.0 * sum(1.0 / hi**2 for hi in self.h)
@@ -63,19 +66,29 @@ class Grid:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        """Sparse matrix of -Delta_h on interior nodes."""
-        blocks = []
-        for h, n in zip(self.h, self.n_interior):
-            main = np.full(n, 2.0 / h**2)
-            off = np.full(n - 1, -1.0 / h**2)
-            blocks.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-        if self.ndim == 1:
-            return blocks[0].tocsr()
-        nx, ny = self.n_interior
-        # format="csr" keeps sp.kron off its BSR path, which stores the
-        # zeros of dense-looking small blocks (nx <= 5) explicitly
-        return (sp.kron(sp.eye(ny), blocks[0], format="csr")
-                + sp.kron(blocks[1], sp.eye(nx), format="csr"))
+        """Sparse matrix of -Delta_h on interior nodes, laid out directly.
+
+        Row i holds the stencil of node i: the neighbour along each axis
+        at index offset -stride and +stride, which drops out where it is a
+        boundary node, and node i itself.  Listed by offset, largest stride
+        first below the diagonal and last above it, a row's entries are in
+        column order, so the kept entries are the CSR arrays.
+        """
+        n, node = self.n_nodes, np.arange(self.n_nodes)
+        strides = np.cumprod((1,) + self.n_interior[:-1])
+        below, above = [], []
+        for stride, size, h in zip(strides, self.n_interior, self.h):
+            at = node // stride % size      # the node's index along the axis
+            below.insert(0, (node - stride, at > 0, -1.0 / h**2))
+            above.append((node + stride, at < size - 1, -1.0 / h**2))
+        diag = (node, np.ones(n, dtype=bool), sum(2.0 / h**2 for h in self.h))
+        cols, keep, vals = zip(*below, diag, *above)
+        keep = np.column_stack(keep)          # (n, 2 ndim + 1), row-major
+        indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        data = np.broadcast_to(np.array(vals), keep.shape)[keep]
+        indices = np.column_stack(cols)[keep].astype(np.intc)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def build_grid(kind: str, n_interior, extents=None) -> Grid:
@@ -132,8 +145,10 @@ def inner_product(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> float:
 
 def norm(grid: Grid, f: np.ndarray) -> float:
     """Quadrature norm sqrt(<f, f>)."""
-    f = _check_field(grid, f)
-    return math.sqrt(grid.node_weight) * float(np.linalg.norm(f.ravel()))
+    flat = _check_field(grid, f).ravel()
+    # the sum np.linalg.norm computes on a flat real array, without its
+    # dispatch
+    return math.sqrt(grid.node_weight) * math.sqrt(float(flat @ flat))
 
 
 def principal_laplacian_eigenvalue(grid: Grid) -> float:

@@ -16,9 +16,9 @@ fold refinement, the fiber coefficients and the a-priori bound all read it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class ModelSpec:
         """Total degree of each term with a positive coefficient."""
         return tuple(sum(ps) for c, ps in self.terms if c > 0)
 
+    @cached_property
+    def _partial_tables(self) -> dict:
+        """``_partial_table`` of each order, built on first need."""
+        return {}
+
 
 def _check_cone(spec: ModelSpec, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
@@ -61,7 +66,6 @@ def _check_cone(spec: ModelSpec, u) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=64)
 def _partial_table(spec: ModelSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients and reduced exponents of every partial of the given order.
 
@@ -96,7 +100,10 @@ def _term_partials(spec: ModelSpec, u, order: int) -> np.ndarray:
     first axis differentiates G itself.  Terms follow ``spec.degrees``.
     """
     u = _check_cone(spec, u)
-    coef, reduced = _partial_table(spec, order)
+    tables = spec._partial_tables    # a lookup that does not hash the spec
+    if order not in tables:
+        tables[order] = _partial_table(spec, order)
+    coef, reduced = tables[order]
     tail = (1,) * (u.ndim - 1)
     powers = u ** reduced.reshape(reduced.shape + tail)     # (K, M, m, ...)
     vals = coef.reshape(coef.shape + tail) * powers.prod(axis=2)

@@ -6,6 +6,7 @@ import csv
 import inspect
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -476,6 +477,41 @@ def test_no_module_imports_scipy_optimize():
     assert "cw" in modules and "nehari" in modules
     assert not [name for name in modules if _imports_scipy_optimize(
         ast.parse((pkg / f"{name}.py").read_text()))]
+
+
+# a private scipy name: a dotted path from scipy, sp or spla with a step
+# that starts with an underscore (__new__ included), a private name imported
+# from scipy, or a __new__ applied to a scipy class
+_PRIVATE_SCIPY = re.compile(
+    r"\b(?:scipy|sp|spla)(?:\.\w+)*\._\w"
+    r"|\bfrom\s+scipy[\w.]*\s+import\s+(?:.*[\s,(])?_\w"
+    r"|\.__new__\(\s*(?:scipy|sp|spla)\.")
+
+
+def test_private_scipy_guard_flags_private_names():
+    flagged = ["from scipy.sparse._sputils import get_index_dtype",
+               "from scipy.sparse import csr_matrix, _sputils",
+               "mat = sp.csr_matrix.__new__(sp.csr_matrix)",
+               "mat = object.__new__(sp.csc_matrix)",
+               "solve = spla._dsolve.linsolve",
+               "x = scipy.sparse._compressed._cs_matrix"]
+    clean = ["mat = sp.csr_matrix((data, indices, indptr), shape=shape)",
+             "lu = spla.splu(a, permc_spec=spec)",
+             "from scipy.linalg import eigh_tridiagonal",
+             "mat = type(template)(template)"]
+    assert all(_PRIVATE_SCIPY.search(line) for line in flagged)
+    assert not any(_PRIVATE_SCIPY.search(line) for line in clean)
+
+
+def test_no_module_reaches_private_scipy_api():
+    # private scipy API may change in any release; the package uses only
+    # the public one
+    pkg = Path(foldfinder.__file__).parent
+    hits = [f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(pkg.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if _PRIVATE_SCIPY.search(line)]
+    assert hits == []
 
 
 # rayleigh_ext, the paper's extended Rayleigh quotient R(u, v), has no

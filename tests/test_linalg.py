@@ -451,3 +451,40 @@ def test_orderings_are_dropped_with_their_grid():
     gc.collect()
     assert ref() is None and layout() is None
     assert build_grid("rectangle", 15, extents=1.5) not in linalg._ORDERINGS
+
+
+def test_hessians_alive_together_keep_their_values_across_a_factor():
+    # every Hessian of a grid is a copy of one template: factoring one, or
+    # taking its eigenpair, leaves the values of the other alone
+    grid = build_grid("rectangle", 9)
+    spec = coupled_model(q=1.5)
+    state = sublinear_state(grid, spec, 1.0)
+    first = hessian_operator(state, 1.0)
+    second = hessian_operator(state.with_u(1.5 * state.u), 0.4)
+    saved = [op.matrix.data.copy() for op in (first, second)]
+    assert not np.array_equal(*saved)
+    linalg._factorized(first)
+    factor_bordered(second, np.ones(second.dim), np.ones(second.dim), 0.0)
+    smallest_eigenpair(first, tol=1e-6)
+    for op, data in zip((first, second), saved):
+        assert op.matrix.data.tobytes() == data.tobytes()
+
+
+def test_template_index_arrays_are_read_only():
+    grid = build_grid("rectangle", 5)
+    spec = abc_model(q=1.5, gamma=4.0)
+    hess = hessian_operator(sublinear_state(grid, spec, 1.0), 1.0)
+    factor_bordered(hess, np.ones(hess.dim), np.ones(hess.dim), 0.0)
+    pattern = linalg._ORDERINGS[grid][hess.dim, True]
+    filled = pattern.assemble(np.ones(pattern.pos.shape[0]))
+    for mat in (hess.matrix, pattern.template, filled):
+        assert not mat.indices.flags.writeable
+        assert not mat.indptr.flags.writeable
+        with pytest.raises(ValueError):
+            mat.indices[0] = 0
+    # an in-place reordering raises instead of reaching the shared layout
+    hess.matrix.has_sorted_indices = False
+    with pytest.raises(ValueError):
+        hess.matrix.sort_indices()
+    again = hessian_operator(sublinear_state(grid, spec, 1.0), 1.0).matrix
+    assert again.has_canonical_format

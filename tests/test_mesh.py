@@ -159,3 +159,46 @@ def test_build_grid_rejects_bad_input():
         build_grid("triangle", 3)
     with pytest.raises(ValueError):
         build_grid("interval", 0)
+
+
+def _kronecker_laplacian(grid):
+    """-Delta_h as the Kronecker sum of 1-D stencils from sp.diags."""
+    import scipy.sparse as sp
+
+    blocks = []
+    for h, n in zip(grid.h, grid.n_interior):
+        main, off = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
+        blocks.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
+    if grid.ndim == 1:
+        return blocks[0]
+    nx, ny = grid.n_interior
+    return (sp.kron(sp.eye(ny), blocks[0], format="csr")
+            + sp.kron(blocks[1], sp.eye(nx), format="csr"))
+
+
+@pytest.mark.parametrize("n", [(1,), (2,), (2, 3), (4, 2), (5, 5), (7, 11)])
+def test_stencil_layout_equals_the_kronecker_sum(n):
+    # the stencil is laid out by index arithmetic; it must hold the bits,
+    # the index order and the dtypes of the Kronecker-sum construction
+    grid = build_grid("interval" if len(n) == 1 else "rectangle", n,
+                      extents=(2.0, 1.0)[:len(n)])
+    ref, lap = _kronecker_laplacian(grid), grid.laplacian
+    assert lap.shape == ref.shape and lap.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(lap, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes(), name
+
+
+def test_grid_scalars_are_computed_once():
+    g = build_grid("rectangle", (3, 5), extents=(1.0, 2.0))
+    assert g.h is g.h and g.laplacian is g.laplacian
+    assert g.stencil_scale == 2.0 * (16.0 + 9.0)
+    assert g.n_nodes == 15 and g.node_weight == 0.25 * (2.0 / 6.0)
+
+
+def test_norm_is_the_euclidean_norm_weighted():
+    rng = np.random.default_rng(3)
+    g = build_grid("rectangle", (4, 3))
+    f = rng.standard_normal((2, 12))
+    assert norm(g, f) == np.sqrt(g.node_weight) * np.linalg.norm(f.ravel())
