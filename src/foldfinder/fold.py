@@ -26,7 +26,8 @@ is almost pure lambda.  No record computes an eigenpair:
 the fold test is the sign of the lambda part of the branch tangent, which
 the arclength step solves for anyway, and a record's stability index and
 energy are computed when first read.  The augmented Newton refines the fold from
-the bracket end nearer to it; regula falsi (the Illinois variant) on the
+the zero of the chord through the bracket ends' stability indices; regula
+falsi (the Illinois variant) on the
 stability index narrows the bracket only when its independent estimate
 ``FoldDetection.lambda_bisect`` is read.  ``find_fold_continuation``
 starts the branch below a certified lower bound of lambda*.
@@ -644,10 +645,11 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     both ends read delta <= 0, which costs one more eigenpair when the
     tangent test let one record past the fold.  ``NoFoldError`` is raised
     unless delta > 0 at the first end and <= 0 at the second.  The
-    augmented Newton starts from the end with the smaller |delta|, its
-    state and lambda, bordered by its eigenfield; ``tol`` is its tolerance
-    (see ``moore_spence_solve``).  So a detection computes the eigenpairs
-    of its two ends and nothing else; the regula falsi of
+    augmented Newton starts where the chord through the ends' delta values
+    vanishes, at t = delta_a / (delta_a - delta_b) between them: u, lambda
+    and the eigenfield that borders it are interpolated there.  ``tol`` is
+    its tolerance (see ``moore_spence_solve``).  So a detection computes
+    the eigenpairs of its two ends and nothing else; the regula falsi of
     ``lambda_bisect`` runs when that is first read.
     """
     records = branch.records
@@ -659,9 +661,14 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     ends = records[k - 1], records[k]
     if not ends[0].delta > 0 >= ends[1].delta:
         raise NoFoldError("no stability sign change across the fold bracket")
-    start = min(ends, key=lambda r: abs(r.delta))
-    fp = moore_spence_solve(grid, spec, start.state,
-                            start.stability.eigenfield, start.lam, tol=tol)
+    # the delta chord's zero: u, the eigenfield and lambda interpolated
+    a, b = ends
+    t = a.delta / (a.delta - b.delta)
+    u, v, lam = ((1.0 - t) * xa + t * xb for xa, xb in (
+        (a.state.u, b.state.u),
+        (a.stability.eigenfield, b.stability.eigenfield), (a.lam, b.lam)))
+    fp = moore_spence_solve(grid, spec, make_state(grid, spec, u), v, lam,
+                            tol=tol)
     return FoldDetection(bracket=tuple(sorted(r.lam for r in ends)),
                          fold_point=fp, lambda_moore_spence=fp.lam,
                          ends=ends)

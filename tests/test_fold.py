@@ -220,8 +220,9 @@ def test_cross_method_agreement_medium_grid():
 
 def test_detect_fold_regula_falsi_needs_few_stability_solves(monkeypatch):
     # bisecting the bracket to 1e-9 took 13 stability solves here.  The
-    # augmented Newton starts from a bracket record, so a detection pays
-    # for the eigenpairs of its two ends only, and the regula falsi runs
+    # augmented Newton starts between the bracket records, from their
+    # eigenfields, so a detection pays for the eigenpairs of its two ends
+    # only, and the regula falsi runs
     # once, when its estimate is first read
     import foldfinder.fold as fold
 
@@ -438,6 +439,16 @@ def test_continuation_route_agrees_with_direct_over_the_sweep():
             wrong.append((spec.q, spec.terms, kind, cont, direct,
                           det.lambda_bisect))
     assert not wrong
+
+
+def test_augmented_newton_starts_near_the_fold_over_the_sweep():
+    # the augmented Newton starts at the zero of the chord through the two
+    # bracket ends' delta values.  Started from the end with the smaller
+    # |delta| it took 110 steps here; from the chord's zero, 91
+    steps = sum(find_fold_continuation(build_grid(kind, n),
+                                       spec).fold_point.newton_iterations
+                for spec, kind, n in _sweep_cases())
+    assert steps <= 95
 
 
 def test_arclength_entry_step_is_bounded_near_the_fold(monkeypatch):
