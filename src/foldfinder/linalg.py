@@ -41,9 +41,10 @@ function, so one factor serves several right-hand sides.
 ``smallest_eigenpair`` picks its path from the matrix pattern.  A
 tridiagonal matrix (a scalar model on an interval grid) goes to LAPACK's
 tridiagonal eigensolver, which factors nothing and so adds no counted
-solve.  Every other matrix (rectangles, m >= 2) is factored once as
-H - sigma I and handed to ARPACK as the shift-invert operator, started
-from the caller's guess at the eigenvector when there is one.
+solve; so does any other matrix of dimension at most ``_DENSE_DIM``, to
+LAPACK's dense one.  Every larger matrix (rectangles, m >= 2) is factored
+once as H - sigma I and handed to ARPACK as the shift-invert operator,
+started from the caller's guess at the eigenvector when there is one.
 """
 
 from __future__ import annotations
@@ -121,6 +122,11 @@ class LinearOperator:
 # 94,800 true ones of the bordered rectangle:55 factor.  Supernodes relaxed
 # by at most two columns store 105,926 and factor 1.3-1.7x faster.
 _SUPERNODES = {"relax": 2, "panel_size": 2}
+
+# largest dimension whose eigenpair is computed densely: ARPACK's Krylov
+# space cannot exceed the dimension, and in so small a space its last bits
+# differ from one process to the next
+_DENSE_DIM = 8
 
 # largest relative backward error of a bordered solve, and of the augmented
 # Newton step computed on its factor
@@ -379,14 +385,16 @@ def smallest_eigenpair(op: LinearOperator, tol: float,
     A matrix whose stored entries all lie within one place of the diagonal
     (every 1-D scalar grid, and n = 1) is tridiagonal: the pair comes from
     LAPACK bisection and inverse iteration (``stebz``/``stein``, via
-    ``eigh_tridiagonal``), with no factorization.  Any other matrix gets
+    ``eigh_tridiagonal``), with no factorization.  Any other matrix of
+    dimension at most ``_DENSE_DIM`` goes to the dense ``numpy.linalg.eigh``,
+    which gives the same bits in every process.  Any larger one gets
     shift-invert Lanczos (ARPACK; Lehoucq, Sorensen and Yang 1998): H - sigma I
     is factored once, with sigma just below the Gershgorin lower bound of the
     spectrum, so the smallest eigenvalue of H is the largest of the inverse.
     Lanczos starts from ``start``, a guess at the eigenvector, in a Krylov
     space of 8 vectors; without one it starts from a fixed random vector in
     ARPACK's default space.  Either start is fixed by the input, so reruns
-    are identical.  The tridiagonal path ignores ``start``.  Either way
+    are identical.  The direct paths ignore ``start``.  Either way
     delta is the Rayleigh quotient of the unit eigenvector.  Raises
     ``ConvergenceError`` unless ||H x - delta x|| <= tol.  Returns
     (delta, phi) with phi normalized to quadrature norm one and its
@@ -397,6 +405,8 @@ def smallest_eigenpair(op: LinearOperator, tol: float,
     if np.all(np.abs(mat.indices - _rows(mat)) <= 1):
         _, vecs = eigh_tridiagonal(mat.diagonal(), mat.diagonal(1),
                                    select="i", select_range=(0, 0))
+    elif n <= _DENSE_DIM:
+        vecs = np.linalg.eigh(mat.toarray())[1]
     else:
         diag = mat.diagonal()
         lower = float((diag - (op.row_abs_sums - np.abs(diag))).min())

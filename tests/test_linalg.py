@@ -2,7 +2,10 @@
 
 import ast
 import gc
+import os
 import pkgutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -142,6 +145,51 @@ def test_tridiagonal_path_matches_dense_without_solves(n):
     assert np.sqrt(grid.node_weight) * np.linalg.norm(phi) \
         == pytest.approx(1.0, rel=1e-12)
     assert phi[np.argmax(np.abs(phi))] > 0
+
+
+def test_small_matrices_take_the_dense_path_without_solves():
+    # a coupled Hessian of dimension 6 is not tridiagonal; at most 8 the
+    # eigenpair is LAPACK's dense one, and nothing is factored
+    grid = build_grid("interval", 3)
+    rng = np.random.default_rng(3)
+    state = make_state(grid, coupled_model(q=1.5), 0.5 + rng.random((2, 3)))
+    hess = hessian_operator(state, 2.0)
+    solve_counter.reset()
+    delta, phi = smallest_eigenpair(hess, tol=1e-10 * grid.stencil_scale)
+    assert solve_counter.value == 0
+    assert delta == pytest.approx(
+        np.linalg.eigvalsh(hess.matrix.toarray())[0], abs=1e-12)
+    assert phi[np.argmax(np.abs(phi))] > 0
+
+
+# an m = 3 model with two equal components: its fold is not simple, and
+# the outcome of its continuation on one node once changed from one process
+# to the next with the last bits of an ARPACK eigenpair
+_TINY_FOLD_SCRIPT = """
+from foldfinder import ModelSpec, build_grid, find_fold_continuation
+spec = ModelSpec(m=3, q=1.1386360998748877, terms=(
+    (0.7580710081479346, (0.0, 0.0, 5.503765219355886)),
+    (1.0, (3.638636099874888, 0.0, 0.0)),
+    (1.0, (0.0, 3.638636099874888, 0.0))))
+try:
+    det = find_fold_continuation(build_grid("interval", 1), spec)
+    print(repr(det.lambda_moore_spence), det.fold_point.state.u.tolist())
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_tiny_problem_gives_the_same_output_in_every_process():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(foldfinder.__file__).parent.parent))
+    outputs = set()
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-c", _TINY_FOLD_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_shift_invert_path_matches_dense_on_rectangle():
