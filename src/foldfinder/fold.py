@@ -327,15 +327,28 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     direction at the fold, u is positive, so the border is not orthogonal
     to it.  The a-priori bound only decides whether a fold exists.  The
     ascent's end is not classified: wherever it lies, it seeds the
-    Newton, whose eigen-certificate rejects an unstable answer.
+    Newton, whose eigen-certificate rejects an unstable answer.  When that
+    Newton raises ``ConvergenceError``, it runs once more from the stable
+    solution at lambda_cw, which exists because lambda_cw <= lambda*
+    (Ambrosetti, Brezis and Cerami 1994), bordered by that solution's
+    eigenfield; if that solve fails, the first error is raised.
     """
     _, torsion = _start(grid, spec)
     try:
         cand = cw_ascend(torsion)
     except ConeError as exc:
         raise ConvergenceError(f"ascent left the positive cone: {exc}") from exc
-    return moore_spence_solve(grid, spec, cand.state, cand.state.u,
-                              cand.lambda_cw, tol=tol)
+    try:
+        return moore_spence_solve(grid, spec, cand.state, cand.state.u,
+                                  cand.lambda_cw, tol=tol)
+    except ConvergenceError:
+        # reseed from the stable solution at lambda_cw <= lambda*
+        rep = solve_stable(grid, spec, cand.lambda_cw)
+        if not rep.converged:
+            raise
+        eig = stability_index(rep.state, start=rep.state.u).eigenfield
+        return moore_spence_solve(grid, spec, rep.state, eig, cand.lambda_cw,
+                                  tol=tol)
 
 
 def find_fold_continuation(grid: Grid, spec: ModelSpec, *,

@@ -103,6 +103,27 @@ def test_direct_seeds_the_newton_with_an_unstable_ascent_end(monkeypatch):
     assert abs(fp.delta) <= stability_tolerance(fp.state)
 
 
+def test_direct_route_reseeds_from_the_stable_solution(monkeypatch):
+    # a decoupled m = 3 model whose ascent end seeds an augmented Newton
+    # that reaches an unstable singular point; the rerun from the stable
+    # solution at lambda_cw finds the fold that continuation finds
+    import foldfinder.fold as fold
+
+    spec = ModelSpec(m=3, q=1.9329359182347243, terms=(
+        (0.6626018908878276, (5.80222093056232, 0.0, 0.0)),
+        (1.0, (0.0, 4.432935918234724, 0.0)),
+        (1.0, (0.0, 0.0, 4.432935918234724))))
+    grid = build_grid("interval", 7)
+    calls, real = [], fold.moore_spence_solve
+    monkeypatch.setattr(fold, "moore_spence_solve",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    direct = find_fold_direct(grid, spec)
+    assert len(calls) == 2
+    cont = find_fold_continuation(grid, spec).lambda_moore_spence
+    assert direct.lam == pytest.approx(cont, rel=1e-10)
+    assert direct.delta >= -stability_tolerance(direct.state)
+
+
 def test_moore_spence_rejects_a_negative_certificate(monkeypatch):
     # a singular point whose smallest eigenvalue is negative is not the
     # fold of the stable branch
