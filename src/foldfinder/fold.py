@@ -25,10 +25,10 @@ predictor rounds the fold instead of running past it along a tangent that
 is almost pure lambda.  No record computes an eigenpair:
 the fold test is the sign of the lambda part of the branch tangent, which
 the arclength step solves for anyway, and a record's stability index and
-energy are computed when first read.  The augmented Newton refines the fold from
-the zero of the chord through the bracket ends' stability indices; regula
-falsi (the Illinois variant) on the
-stability index narrows the bracket only when its independent estimate
+energy are computed when first read.  The augmented Newton refines the
+fold from the zero of the chord through the bracket ends' stability
+indices; regula falsi (the Illinois variant) on the stability index
+narrows the bracket only when its independent estimate
 ``FoldDetection.lambda_bisect`` is read.  ``find_fold_continuation``
 starts the branch below a certified lower bound of lambda*.
 """
@@ -342,7 +342,6 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
         return moore_spence_solve(grid, spec, cand.state, cand.state.u,
                                   cand.lambda_cw, tol=tol)
     except ConvergenceError:
-        # reseed from the stable solution at lambda_cw <= lambda*
         rep = solve_stable(grid, spec, cand.lambda_cw)
         if not rep.converged:
             raise
@@ -674,7 +673,6 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     ends = records[k - 1], records[k]
     if not ends[0].delta > 0 >= ends[1].delta:
         raise NoFoldError("no stability sign change across the fold bracket")
-    # the delta chord's zero: u, the eigenfield and lambda interpolated
     a, b = ends
     t = a.delta / (a.delta - b.delta)
     u, v, lam = ((1.0 - t) * xa + t * xb for xa, xb in (
