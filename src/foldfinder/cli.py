@@ -114,8 +114,8 @@ _OPTIONS = {
     "method": (_checked(f"one of {_ROUTE_NAMES}", str, _ROUTES.__contains__),
                f"fold route: {_ROUTE_NAMES}"),
     "lambda_start": (_POSITIVE, "lambda of the first branch record"),
-    "step": (_POSITIVE, "initial continuation step; later steps adapt to "
-             "the corrector's iteration count"),
+    "step": (_POSITIVE, "lambda change of the first continuation step; "
+             "later steps adapt to the corrector's first correction"),
     "max_records": (_checked("an integer >= 1", int, lambda n: n >= 1),
                     "most branch records to trace"),
     "grids": (_checked("comma-separated node counts >= 1",

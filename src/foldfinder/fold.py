@@ -13,24 +13,22 @@ lambda correction, so lambda* does not depend on where it started.
 Both Newton systems here, the augmented one (a step halved up to 25
 times) and the arclength corrector (full steps), run on the damped loop
 ``nehari._newton``, which clips every iterate onto the cone.
-Continuation uses natural stepping with a secant predictor and switches
-to pseudo-arclength stepping (tangent predictor and corrector, both
-bordered solves) where the branch starts to turn away from the secant, or
-at the first failed or slow natural corrector; the natural step adapts to
-the corrector's iteration count, the arclength step to the size of the
-corrector's first Newton correction.  Arclength is measured with lambda
-weighted by theta = ||u|| / lambda at the record where it starts (Keller
+Continuation steps by pseudo-arclength from its first record (tangent
+predictor and corrector, both bordered solves); the step adapts to the
+size of the corrector's first Newton correction.  Arclength is measured
+with lambda weighted by theta = ||u|| / lambda at the first record (Keller
 1977), so a relative change of u weighs as much as one of lambda, and the
 predictor rounds the fold instead of running past it along a tangent that
-is almost pure lambda.  No record computes an eigenpair:
-the fold test is the sign of the lambda part of the branch tangent, which
-the arclength step solves for anyway, and a record's stability index and
-energy are computed when first read.  The augmented Newton refines the
-fold from the zero of the chord through the bracket ends' stability
-indices; regula falsi (the Illinois variant) on the stability index
-narrows the bracket only when its independent estimate
-``FoldDetection.lambda_bisect`` is read.  ``find_fold_continuation``
-starts the branch below a certified lower bound of lambda*.
+is almost pure lambda.  No record computes an eigenpair: the fold test
+is the sign of the lambda part of the branch tangent, which the arclength
+step solves for anyway, and a record's stability index and energy are
+computed when first read.  The augmented Newton refines the fold from the
+zero of the chord through the bracket ends' stability indices, and once
+more from the stable end if that fails; regula falsi (the Illinois
+variant) on the stability index narrows the bracket only when its
+independent estimate ``FoldDetection.lambda_bisect`` is read.
+``find_fold_continuation`` starts the branch below a certified lower
+bound of lambda*.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .linalg import (LinearOperator, factor_bordered, laplacian_solve,
                      smallest_eigenpair, _BACKWARD_TOL)
 from .mesh import Grid, norm
 from .model import ModelSpec, _term_partials
-from .nehari import newton_solve, solve_stable, _newton, _Point
+from .nehari import solve_stable, _newton, _Point
 from .cw import cw_ascend, cw_value, upper_bound_lambda, _fiber_argmax
 from .spectrum import (StabilityResult, stability_index, stability_tolerance,
                        _EIG_TOL)
@@ -330,8 +328,9 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     Newton, whose eigen-certificate rejects an unstable answer.  When that
     Newton raises ``ConvergenceError``, it runs once more from the stable
     solution at lambda_cw, which exists because lambda_cw <= lambda*
-    (Ambrosetti, Brezis and Cerami 1994), bordered by that solution's
-    eigenfield; if that solve fails, the first error is raised.
+    (Ambrosetti, Brezis and Cerami 1994), bordered by the eigenfield that
+    ``solve_stable`` computed for it; if that solve or the second Newton
+    fails, the first error is raised.
     """
     _, torsion = _start(grid, spec)
     try:
@@ -341,13 +340,15 @@ def find_fold_direct(grid: Grid, spec: ModelSpec, *,
     try:
         return moore_spence_solve(grid, spec, cand.state, cand.state.u,
                                   cand.lambda_cw, tol=tol)
-    except ConvergenceError:
+    except ConvergenceError as exc:
         rep = solve_stable(grid, spec, cand.lambda_cw)
         if not rep.converged:
             raise
-        eig = stability_index(rep.state, start=rep.state.u).eigenfield
-        return moore_spence_solve(grid, spec, rep.state, eig, cand.lambda_cw,
-                                  tol=tol)
+        try:
+            return moore_spence_solve(grid, spec, rep.state, rep.eigenfield,
+                                      cand.lambda_cw, tol=tol)
+        except ConvergenceError:
+            raise exc
 
 
 def find_fold_continuation(grid: Grid, spec: ModelSpec, *,
@@ -375,25 +376,6 @@ def find_fold_continuation(grid: Grid, spec: ModelSpec, *,
     return detect_fold(grid, spec, branch, tol=tol)
 
 
-def _step_factor(iters: int) -> float:
-    """Step-length factor from the iteration count of an accepted corrector.
-
-    A corrector that converges in a few iterations was given a step well
-    inside its contraction region, so the next step grows; about four is
-    the target, and slower convergence shrinks the step (Allgower and Georg
-    1990, ch. 6; Deuflhard 2004).
-    """
-    if iters <= 2:
-        return 2.0
-    if iters == 3:
-        return 1.5
-    return 1.0 if iters == 4 else 0.7
-
-
-# Natural stepping ends once a corrector lands farther than _BEND times the
-# step from its secant predictor: the branch has started to turn.
-_BEND = 0.05
-
 # Pseudo-arclength step control (Allgower and Georg 1990, sec. 6.1): the
 # first Newton correction of a corrector is about half the branch curvature
 # times the step squared, so its ratio to the step grows with the step.
@@ -409,127 +391,77 @@ def continue_branch(grid: Grid, spec: ModelSpec, lam_start: float,
                     step: float = 0.05, max_records: int = 200) -> Branch:
     """Trace the stable branch from lam_start until a fold is bracketed.
 
-    Natural-parameter stepping with a secant predictor; the step is scaled
-    by ``_step_factor`` of each accepted corrector's iteration count, and
-    ``step`` is the first one.  Natural stepping ends at the first
-    corrector that fails, needs more than six iterations, or lands farther
-    than _BEND times the step from its secant predictor, where the branch
-    starts to turn; so it tries at most one lambda beyond the fold.
-    Pseudo-arclength stepping follows.  It measures (u, lambda) in the
-    inner product <u1, u2> + theta^2 lambda1 lambda2, with theta = ||u|| /
-    lambda at the record where it starts, so that the measure is free of
-    the scales of u and lambda; the tangent's normalisation, the predictor,
-    the corrector's constraint and the sizes of its corrections all use it.
-    Its first step is the arclength along the tangent that changes lambda
-    by half the next natural step, but at most ||u||, as the lambda part of
-    the tangent tends to 0 at the fold.  Its predictor follows the branch
-    tangent, and its step is scaled by _ALPHA over the ratio of the
+    Pseudo-arclength stepping from the first record.  It measures (u,
+    lambda) in the inner product <u1, u2> + theta^2 lambda1 lambda2, with
+    theta = ||u|| / lambda at the first record, so that the measure is free
+    of the scales of u and lambda; the tangent's normalisation, the
+    predictor, the corrector's constraint and the sizes of its corrections
+    all use it.  The first step is the arclength along the first tangent
+    that changes lambda by ``step``, but at most ||u||, as the lambda part
+    of the tangent tends to 0 at the fold.  The predictor follows the
+    branch tangent, and the step is scaled by _ALPHA over the ratio of the
     corrector's first Newton correction to the step (at most by _GROW).  A
     corrector whose ratio exceeds _ALPHA_MAX stops after that first
     correction, one whose corrections stop shrinking stops too, and a
     failed corrector halves the step; below 1e-6 of ||u|| tracing stops,
     with no fold bracketed.
 
-    The fold test is the tangent: at a simple fold its lambda part changes
-    sign together with det H (Allgower and Georg 1990), so a record whose
+    The tangent, the null vector of [H, dF/dlam], comes from a bordered
+    factor whose border row is the tangent before it, (0, theta^2) at the
+    first record: the corrector's last factor, or one factor of its own
+    at the first record and after a corrector that took no step.  The fold
+    test is that tangent: at a simple fold its lambda part changes sign
+    together with det H (Allgower and Georg 1990), so a record whose
     tangent, oriented along the step that reached it, has a nonpositive
-    lambda part lies past the fold.  The tangent comes from the corrector's
-    last bordered factor, or from one bordered factor after a natural step,
-    so the test costs no factor of its own.  Tracing stops there with
-    ``fold_bracketed`` set and the fold between the last two records; a
-    natural step that collapses onto u = 0 (sup norm at most 1e-8 of the
-    record before) stops it the same way.  Otherwise it stops after
-    max_records.  No record computes its stability index: ``delta`` is
-    computed when first read.  The first record is ``solve_stable`` at
-    lam_start, keeps that solve's delta, and its ``corrector_iters`` counts
-    that solve's Newton steps.
+    lambda part lies past the fold.  Tracing stops there with
+    ``fold_bracketed`` set and the fold between the last two records, and
+    otherwise after max_records.  No record computes its stability index:
+    ``delta`` is computed when first read.  The first record is
+    ``solve_stable`` at lam_start, keeps that solve's delta, and its
+    ``corrector_iters`` counts that solve's Newton steps.
     """
     rep = solve_stable(grid, spec, lam_start, tol=_BRANCH_TOL)
     if not rep.converged:
         raise ConvergenceError(
             f"initial solve failed at lambda={lam_start:g}: {rep.message}")
-    branch = Branch()
-
-    def record(state: State, lam: float, iters: int,
-               delta: float | None = None) -> None:
-        branch.records.append(BranchRecord(
-            lam=lam, corrector_iters=iters, state=state, known_delta=delta))
-
-    record(rep.state, lam_start, rep.iterations, rep.delta)
-    prev: tuple[State, float] | None = None
-    cur = (rep.state, lam_start)
-    mode = "natural"
-    dl = step
-    tangent = border = None
+    branch = Branch(records=[BranchRecord(
+        lam=lam_start, corrector_iters=rep.iterations, state=rep.state,
+        known_delta=rep.delta)])
+    state, lam = rep.state, lam_start
+    theta = norm(grid, state.u) / lam
+    tu, tlam, ds, border = np.zeros_like(state.u), 1.0, None, None
 
     while len(branch.records) < max_records:
-        if mode == "natural":
-            lam_new = cur[1] + dl
-            secant = prev is not None and cur[1] != prev[1]
-            if secant:
-                u_pred = cur[0].u + (cur[0].u - prev[0].u) * (dl / (cur[1] - prev[1]))
-            else:
-                u_pred = cur[0].u
-            st, ok, iters, _ = newton_solve(
-                grid, spec, lam_new, make_state(grid, spec, u_pred),
-                tol=_BRANCH_TOL)
-            bend = 0.0
-            if ok:
-                record(st, lam_new, iters)
-                if st.sup <= 1e-8 * cur[0].sup:
-                    branch.fold_bracketed = True
-                    break
-                if secant:
-                    bend = norm(grid, st.u - u_pred) / math.hypot(
-                        norm(grid, u_pred - cur[0].u), dl)
-                prev, cur = cur, (st, lam_new)
-                dl *= _step_factor(iters)
-            if not ok or iters > 6 or bend > _BEND:
-                mode, ds = "arclength", None
-                theta = norm(grid, cur[0].u) / cur[1]
-            continue
-
-        # pseudo-arclength: predict along the tangent at cur, the null
-        # vector of [H, dF/dlam], of unit length in the theta metric.  The
-        # corrector's last factor gives it, oriented along the tangent
-        # before; after a natural step, one bordered factor at cur gives it,
-        # oriented along the secant.  A secant over a long natural step cuts
-        # across the turning point, and its plane can miss the branch.
-        if tangent is None:
-            try:
-                if border is None:
-                    if prev is None:
-                        prev = (cur[0], cur[1] - 1e-3 * max(abs(cur[1]), 1.0))
-                    du = cur[0].u - prev[0].u
-                    border = factor_bordered(
-                        hessian_operator(cur[0], cur[1]),
-                        -(cur[0].u ** (spec.q - 1.0)).ravel(),
-                        grid.node_weight * du.ravel(),
-                        theta ** 2 * (cur[1] - prev[1]))
-                tu, tlam = border(np.zeros(cur[0].u.size), 1.0)
-            except SingularBorderError:
+        try:
+            if border is None:
+                border = factor_bordered(
+                    hessian_operator(state, lam),
+                    -(state.u ** (spec.q - 1.0)).ravel(),
+                    grid.node_weight * tu.ravel(), theta ** 2 * tlam)
+            tu, tlam = border(np.zeros(state.u.size), 1.0)
+        except SingularBorderError:
+            break
+        if tlam <= 0.0:
+            branch.fold_bracketed = True
+            break
+        tu = tu.reshape(state.u.shape)
+        tnorm = math.hypot(norm(grid, tu), theta * tlam)
+        tu, tlam = tu / tnorm, tlam / tnorm
+        if ds is None:      # step in lambda along the first tangent
+            ds = min(step / tlam, norm(grid, state.u))
+        while True:
+            result, first = _arclength_corrector(
+                grid, spec, state.u + ds * tu, lam + ds * tlam, tu, tlam,
+                theta, max_first=_ALPHA_MAX * ds)
+            if result is not None:
                 break
-            if tlam <= 0.0:
-                branch.fold_bracketed = True
-                break
-            tu = tu.reshape(cur[0].u.shape)
-            tnorm = math.hypot(norm(grid, tu), theta * tlam)
-            tangent = (tu / tnorm, tlam / tnorm)
-            if ds is None:      # half the next natural step, in lambda
-                ds = min(0.5 * dl / tangent[1], norm(grid, cur[0].u))
-        tu, tlam = tangent
-        result, first = _arclength_corrector(
-            grid, spec, cur[0].u + ds * tu, cur[1] + ds * tlam, tu, tlam,
-            theta, max_first=_ALPHA_MAX * ds)
-        if result is not None:
-            st, lam_new, iters, border = result
-            record(st, lam_new, iters)
-            prev, cur, tangent = cur, (st, lam_new), None
-            ds *= min(_ALPHA * ds / max(first, 1e-300), _GROW)
-        else:
             ds *= 0.5
-            if ds < 1e-6 * norm(grid, cur[0].u):
-                break
+            if ds < 1e-6 * norm(grid, state.u):
+                return branch
+        state, lam, iters, border = result
+        branch.records.append(BranchRecord(
+            lam=lam, corrector_iters=iters, state=state))
+        ds *= min(_ALPHA * ds / max(first, 1e-300), _GROW)
     return branch
 
 
@@ -543,12 +475,11 @@ def _arclength_corrector(grid: Grid, spec: ModelSpec, u_pred: np.ndarray,
     <tu, u - u_pred> + theta^2 tlam (lam - lam_pred) = 0, which borders
     each Hessian with the row (w tu, theta^2 tlam).  Full steps of
     ``nehari._newton`` (no halving, tolerance _BRANCH_TOL), whose merit is
-    the norm of both residuals.  Returns ((state, lam,
-    Newton steps taken, border), first), the steps counted as
-    ``newton_solve`` counts them, ``border`` the solve function of the last
-    bordered factor (None when no step was taken) and ``first`` the length
-    of the first Newton correction; the first item is None when the
-    corrector fails.  It fails when a full step does not lower the merit or
+    the norm of both residuals.  Returns ((state, lam, Newton steps taken,
+    border), first), ``border`` the solve function of the last bordered
+    factor (None when no step was taken) and ``first`` the length of the
+    first Newton correction; the first item is None when the corrector
+    fails.  It fails when a full step does not lower the merit or
     collapses onto the trivial solution u = 0, which meets every tangent
     plane that is not parallel to the lambda axis; at once when ``first``
     exceeds ``max_first``; when a correction is not shorter than the one
@@ -660,7 +591,10 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     augmented Newton starts where the chord through the ends' delta values
     vanishes, at t = delta_a / (delta_a - delta_b) between them: u, lambda
     and the eigenfield that borders it are interpolated there.  ``tol`` is
-    its tolerance (see ``moore_spence_solve``).  So a detection computes
+    its tolerance (see ``moore_spence_solve``).  When that Newton raises
+    ``ConvergenceError``, it runs once more from the stable end, bordered
+    by its eigenfield, as the direct route reruns from a stable solution;
+    if that fails too, the first error is raised.  So a detection computes
     the eigenpairs of its two ends and nothing else; the regula falsi of
     ``lambda_bisect`` runs when that is first read.
     """
@@ -678,8 +612,15 @@ def detect_fold(grid: Grid, spec: ModelSpec, branch: Branch,
     u, v, lam = ((1.0 - t) * xa + t * xb for xa, xb in (
         (a.state.u, b.state.u),
         (a.stability.eigenfield, b.stability.eigenfield), (a.lam, b.lam)))
-    fp = moore_spence_solve(grid, spec, make_state(grid, spec, u), v, lam,
-                            tol=tol)
+    try:
+        fp = moore_spence_solve(grid, spec, make_state(grid, spec, u), v, lam,
+                                tol=tol)
+    except ConvergenceError as exc:
+        try:
+            fp = moore_spence_solve(grid, spec, a.state,
+                                    a.stability.eigenfield, a.lam, tol=tol)
+        except ConvergenceError:
+            raise exc
     return FoldDetection(bracket=tuple(sorted(r.lam for r in ends)),
                          fold_point=fp, lambda_moore_spence=fp.lam,
                          ends=ends)

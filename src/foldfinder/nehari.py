@@ -54,6 +54,7 @@ class SolveReport:
     iterations: int               # Newton steps applied
     converged: bool
     message: str = ""
+    eigenfield: np.ndarray | None = field(default=None, repr=False)
 
 
 def _laplacian_step(state: State, lam: float) -> State:
@@ -103,8 +104,9 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
     Without ``init`` the monotone iteration of ``_minimal_solution`` gives
     the Newton start; with it, Newton starts from ``init``.  The result
     counts as converged when Newton converges and the stability index lies
-    above ``stability_tolerance``.  ``tol`` is ``newton_solve``'s;
-    ``iterations`` counts the Newton steps applied.
+    above ``stability_tolerance``; the report keeps that index's
+    eigenfield.  ``tol`` is ``newton_solve``'s; ``iterations`` counts the
+    Newton steps applied.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -117,9 +119,10 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
                                message="monotone iteration diverged")
     state, newton_ok, iters, rn = newton_solve(grid, spec, lam, init, tol=tol)
     try:
-        delta = stability_index(state, start=state.u).delta
+        stab = stability_index(state, start=state.u)
+        delta, eigenfield = stab.delta, stab.eigenfield
     except (ConeError, ConvergenceError):
-        delta = math.nan
+        delta, eigenfield = math.nan, None
     converged = bool(newton_ok and delta > stability_tolerance(state))
     message = ""
     if not newton_ok:
@@ -128,7 +131,8 @@ def solve_stable(grid: Grid, spec: ModelSpec, lam: float,
         message = "candidate not asymptotically stable"
     return SolveReport(state=state, lam=lam, energy=phi(state, lam),
                        delta=delta, residual_norm=rn, iterations=iters,
-                       converged=converged, message=message)
+                       converged=converged, message=message,
+                       eigenfield=eigenfield)
 
 
 
@@ -212,9 +216,10 @@ def newton_solve(grid: Grid, spec: ModelSpec, lam: float, init: State,
     stop test's.  A step is halved up to 30 times, so a long first step
     from a fold point is damped instead of ending the solve.  A second
     damped step in a row to an unconverged point ends it: above the fold,
-    where no solution exists, every step needs damping, and a failed
-    continuation corrector then stops in two or three steps instead of
-    running to ``_MAX_NEWTON``.
+    where no solution exists, every step needs damping, and the solve then
+    stops in two or three steps instead of running to ``_MAX_NEWTON``.
+    ``solve_stable`` calls it for ``solve``, for the first record of a
+    branch and for the direct route's reseed.
     """
     def evaluate(u, lam):
         state = make_state(grid, spec, u)

@@ -103,25 +103,63 @@ def test_direct_seeds_the_newton_with_an_unstable_ascent_end(monkeypatch):
     assert abs(fp.delta) <= stability_tolerance(fp.state)
 
 
-def test_direct_route_reseeds_from_the_stable_solution(monkeypatch):
-    # a decoupled m = 3 model whose ascent end seeds an augmented Newton
-    # that reaches an unstable singular point; the rerun from the stable
-    # solution at lambda_cw finds the fold that continuation finds
-    import foldfinder.fold as fold
-
-    spec = ModelSpec(m=3, q=1.9329359182347243, terms=(
+def _model_84():
+    # model 84 of the generated sweep (tests/test_sweep.py): decoupled,
+    # m = 3, with two identical components whose scalar fold is the
+    # system's, so H has a double zero eigenvalue at lambda*
+    return ModelSpec(m=3, q=1.9329359182347243, terms=(
         (0.6626018908878276, (5.80222093056232, 0.0, 0.0)),
         (1.0, (0.0, 4.432935918234724, 0.0)),
         (1.0, (0.0, 0.0, 4.432935918234724))))
-    grid = build_grid("interval", 7)
+
+
+def test_direct_route_reseeds_from_the_stable_solution(monkeypatch):
+    # the ascent end of model 84 seeds an augmented Newton that reaches an
+    # unstable singular point; the rerun from the stable solution at
+    # lambda_cw, bordered by the eigenfield solve_stable kept, so after one
+    # eigenpair of that solution, finds the fold of the pair's scalar
+    # reduction.  That fold is simple, so both routes pin it there;
+    # continuation on the system itself meets the double zero eigenvalue
+    # and fails
+    import foldfinder.fold as fold
+    import foldfinder.nehari as nehari
+
+    spec, grid = _model_84(), build_grid("interval", 7)
+    calls, eigenpairs = [], []
+    monkeypatch.setattr(fold, "moore_spence_solve",
+                        lambda *a, real=fold.moore_spence_solve, **kw:
+                        calls.append(1) or real(*a, **kw))
+    for module in (fold, nehari):
+        monkeypatch.setattr(module, "stability_index",
+                            lambda state, real=module.stability_index, **kw:
+                            eigenpairs.append(1) or real(state, **kw))
+    direct = find_fold_direct(grid, spec)
+    assert len(calls) == 2 and len(eigenpairs) == 1
+    assert direct.delta >= -stability_tolerance(direct.state)
+    pair = ModelSpec(m=1, q=spec.q, terms=((1.0, (4.432935918234724,)),))
+    for lam in (find_fold_direct(grid, pair).lam,
+                find_fold_continuation(grid, pair).lambda_moore_spence):
+        assert direct.lam == pytest.approx(lam, rel=1e-10)
+
+
+def test_continuation_retries_from_the_stable_bracket_end(monkeypatch):
+    # model 340 of the generated sweep: the augmented Newton from the
+    # delta-chord start fails, and the rerun from the stable bracket end,
+    # bordered by its eigenfield, finds the direct route's fold
+    import foldfinder.fold as fold
+
+    spec = ModelSpec(m=2, q=1.7120464189760085, terms=(
+        (1.8559224867267916, (0.0, 5.058303575196056)),
+        (1.5303237820412527, (5.067517459719854, 0.0))))
+    grid = build_grid("interval", 2)
+    direct = find_fold_direct(grid, spec).lam
     calls, real = [], fold.moore_spence_solve
     monkeypatch.setattr(fold, "moore_spence_solve",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    direct = find_fold_direct(grid, spec)
+    det = find_fold_continuation(grid, spec)
     assert len(calls) == 2
-    cont = find_fold_continuation(grid, spec).lambda_moore_spence
-    assert direct.lam == pytest.approx(cont, rel=1e-10)
-    assert direct.delta >= -stability_tolerance(direct.state)
+    assert det.lambda_moore_spence == pytest.approx(direct, rel=1e-10)
+    assert direct == pytest.approx(6.503417549933109, rel=1e-10)
 
 
 def test_moore_spence_rejects_a_negative_certificate(monkeypatch):
@@ -540,28 +578,24 @@ def test_continuation_starts_below_the_fold_of_a_system(kind, n, spec):
     (abc_model(q=1.5, gamma=4.0), 15), (coupled_model(q=1.5), 13)],
     ids=["abc", "coupled"])
 def test_continuation_work_budget(monkeypatch, spec, record_bound):
-    # no eigenpair per record, and natural stepping tries at most one
-    # lambda past the fold.  The abc bound is that of tracing delta at
-    # every record.  The coupled states up to lambda = 1.6 have norm 0.01 -
-    # 0.03, so the stop test relative to the norm asks 30 - 100 times more
-    # of them than the absolute test of that bound did: the natural step to
-    # lambda = 1.575 takes three Newton steps, not two, the next step grows
-    # by 1.5 instead of 2, and the branch takes one record more
+    # no eigenpair per record, and at most one failed corrector.  The
+    # bounds are those set for the natural steps that once started every
+    # branch: the abc bound is that of tracing delta at every record, and
+    # the coupled one that of the stop test relative to the norm
     import foldfinder.fold as fold
 
     def no_eigenpair(state, **kw):
         raise AssertionError("continue_branch computed an eigenpair")
 
-    failed = []
-    real = fold.newton_solve
+    failed, real = [], fold._arclength_corrector
 
-    def counted(*args, **kw):
-        out = real(*args, **kw)
-        failed.append(not out[1])
-        return out
+    def corrector(*args, **kw):
+        result, first = real(*args, **kw)
+        failed.append(result is None)
+        return result, first
 
     monkeypatch.setattr(fold, "stability_index", no_eigenpair)
-    monkeypatch.setattr(fold, "newton_solve", counted)
+    monkeypatch.setattr(fold, "_arclength_corrector", corrector)
     branch = continue_branch(build_grid("interval", 63), spec, lam_start=1.0)
     monkeypatch.undo()
     assert branch.fold_bracketed
@@ -570,15 +604,44 @@ def test_continuation_work_budget(monkeypatch, spec, record_bound):
     assert branch.records[-2].delta > 0 >= branch.records[-1].delta
 
 
+@pytest.mark.parametrize("kind, n", [("interval", 63), ("rectangle", 15)])
+def test_branch_factors_only_bordered_matrices_after_its_first_record(
+        monkeypatch, kind, n):
+    # one stepping mode: after the first record's stable solve, every
+    # factor is a bordered one, a tangent's or a corrector's
+    import foldfinder.fold as fold
+    import foldfinder.linalg as linalg
+
+    grid, spec = build_grid(kind, n), _abc()
+    kinds, started = [], []
+    real_factor, real_solve = linalg._factor, fold.solve_stable
+
+    def factor(op, shift=0.0, border=None):
+        if started:
+            kinds.append(border is not None)
+        return real_factor(op, shift, border)
+
+    def solve_stable(*args, **kw):
+        report = real_solve(*args, **kw)
+        started.append(1)
+        return report
+
+    monkeypatch.setattr(linalg, "_factor", factor)
+    monkeypatch.setattr(fold, "solve_stable", solve_stable)
+    branch = continue_branch(grid, spec, lam_start=1.0)
+    assert branch.fold_bracketed
+    assert len(kinds) >= len(branch.records) and all(kinds)
+
+
 @pytest.mark.parametrize("spec, kind, n", [
     (abc_model(q=1.5, gamma=4.0), "interval", 63),
-    # the last natural step lands 0.2% below the fold, and a secant
-    # predictor over it left the branch
+    # the branch passes 0.02% below the fold; the secant predictor of the
+    # natural steps that once started every branch left it here
     (abc_model(q=1.678364, gamma=4.745932), "interval", 127),
     # an arclength corrector here converged to u = 0 at lambda 5% above
     # the fold
     (abc_model(q=1.586527, gamma=4.779941), "rectangle", 47),
-], ids=["abc-4", "long-last-natural-step", "trivial-solution"])
+], ids=["abc-4", "record-near-the-fold", "trivial-solution"])
 def test_adaptive_branch_stays_below_the_fold(spec, kind, n):
     grid = build_grid(kind, n)
     branch = continue_branch(grid, spec, lam_start=1.0)
@@ -739,7 +802,6 @@ def test_direct_fold_factor_budget(monkeypatch, kind, n, spec):
     monkeypatch.setattr(linalg, "_factor", factorized)
     monkeypatch.setattr(fold, "hessian_operator", hessian)
     monkeypatch.setattr(nehari, "newton_solve", no_newton)
-    monkeypatch.setattr(fold, "newton_solve", no_newton)
     find_fold_direct(grid, spec)
     assert kinds.count("laplacian") == 1
     assert kinds.count("bordered") == len(evaluations) > 0
