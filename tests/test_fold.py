@@ -458,7 +458,8 @@ def test_arclength_correctors_rarely_fail_over_the_sweep(monkeypatch):
     # / lambda, so the predictor rounds the fold instead of running past it
     # along a tangent that is almost pure lambda.  With the unweighted
     # metric 145 of 280 branch correctors failed and the route made 1295
-    # factors here; with theta, 2 of 139 and 955
+    # factors here; with theta, and arclength from the first record, 2 of
+    # 274 and 748
     import scipy.sparse.linalg as spla
 
     import foldfinder.fold as fold
@@ -511,10 +512,10 @@ def test_augmented_newton_starts_near_the_fold_over_the_sweep():
 
 
 def test_arclength_entry_step_is_bounded_near_the_fold(monkeypatch):
-    # a branch that starts 1e-6 below lambda*: its first natural step fails
-    # above the fold, where the lambda part of the tangent is nearly 0, so
-    # half that step measured in lambda is a long arclength.  At most ||u||
-    # it costs one failed corrector; unbounded, six
+    # a branch that starts 1e-6 below lambda*: the lambda part of its first
+    # tangent is nearly 0, so a first step of 0.1 lambda* measured in lambda
+    # is a long arclength.  At most ||u|| it costs one failed corrector;
+    # unbounded, seven
     import foldfinder.fold as fold
 
     grid, spec = build_grid("interval", 31), _abc()

@@ -1,4 +1,4 @@
-"""Stable-branch solver, Newton corrector and the sublinear family."""
+"""Stable-branch solver, its Newton loop and the sublinear family."""
 
 import itertools
 import warnings
@@ -187,8 +187,8 @@ def test_newton_from_a_fold_point_reaches_the_stable_solution(spec, kind, n):
 @pytest.mark.parametrize("factor", [1.01, 1.05, 1.2])
 def test_newton_above_the_fold_stops_at_the_second_damped_step(spec, factor):
     # no solution exists, so every step needs damping; with collapsed trials
-    # rejected, Newton would otherwise wander for up to 40 steps in each
-    # failed continuation corrector
+    # rejected, Newton would otherwise wander for up to 40 steps before it
+    # fails, as in a solve from --init above the fold
     grid = build_grid("interval", 31)
     fp = find_fold_direct(grid, spec)
     _, converged, iters, _ = newton_solve(grid, spec, factor * fp.lam,
